@@ -64,17 +64,21 @@ class ChainResult:
     t_levels: list[float] = field(default_factory=list)
 
 
-def generation_perf(beta_g: float, hardware: Hardware, l0_km: float,
-                    geometry: GeometryKind):
-    """(p, eps0) of elementary entanglement generation over one link."""
+def generation_transmittances(hardware: Hardware, l0_km: float,
+                              geometry: GeometryKind) -> tuple[float, float]:
+    """(T_A, T_B) of the two arms of one elementary link."""
     hw = hardware
     if geometry is GeometryKind.MIDPOINT:
         T = hw.tau * math.exp(-l0_km / (2.0 * hw.L_att_km))
-        T_A, T_B = T, T
-    else:
-        T_A = hw.tau * math.exp(-l0_km / hw.L_att_km)
-        T_B = hw.tau
-    perf = performance(hw.detector, InteractionParams(beta_g), T_A, T_B)
+        return T, T
+    return hw.tau * math.exp(-l0_km / hw.L_att_km), hw.tau
+
+
+def generation_perf(beta_g: float, hardware: Hardware, l0_km: float,
+                    geometry: GeometryKind):
+    """(p, eps0) of elementary entanglement generation over one link."""
+    T_A, T_B = generation_transmittances(hardware, l0_km, geometry)
+    perf = performance(hardware.detector, InteractionParams(beta_g), T_A, T_B)
     return perf.p, perf.epsilon
 
 
@@ -216,6 +220,8 @@ def simulate_waiting_time(n: int, p_g: float, p_s: float, seed: int,
     restarts both children after a failure.  Per-block counter-based seeding
     makes the result independent of the worker count.
     """
+    if n < 0:
+        raise ValueError("nesting level must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0.0 < p_g <= 1.0 and 0.0 < p_s <= 1.0):

@@ -3,27 +3,26 @@
 For each nesting level n the fidelity constraint ties the generation
 amplitude to the swap amplitude, leaving a one-dimensional minimization over
 beta_s^2 which is solved by a coarse log-grid scan refined with golden
-section search; beta_g^2 is recovered from the constraint by bisection.
+section search; beta_g^2 follows from the constraint through the closed-form
+inverse of the generation phase error.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chain import (ChainConfig, GeometryKind, Hardware, chain_closed_form,
-                    direct_transmission_time, generation_perf, swap_perf,
-                    worker_count)
-from .formulas import DetectorKind
+                    direct_transmission_time, generation_perf,
+                    generation_transmittances, swap_perf)
+from .formulas import DetectorKind, beta_sq_for_epsilon
 
 N_MAX = 20
 BETA_SQ_LO = 1e-6
 BETA_SQ_HI = 2.0
 GOLDEN_REL_TOL = 1e-4     # relative tolerance in T
-BISECT_F_TOL = 1e-12      # tolerance in F for the constraint solve
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -63,34 +62,18 @@ class OptimumRecord:
 
 def _beta_g_candidates(eps_allowed: float, hardware: Hardware, l0_km: float,
                        geometry: GeometryKind) -> float | None:
-    """Largest useful beta_g^2 with eps0 <= eps_allowed (bisection in beta^2)."""
+    """Largest useful beta_g^2 with eps0 <= eps_allowed."""
     if eps_allowed <= 0.0:
         return None
-
-    def eps_of(b2: float) -> float:
-        return generation_perf(math.sqrt(b2), hardware, l0_km, geometry)[1]
-
-    lo, hi = 0.0, BETA_SQ_HI
-    if eps_of(hi) <= eps_allowed:
-        bound = hi
-    else:
-        # eps is monotone increasing in beta^2; bisect until the fidelity
-        # resolution is below the tolerance, keeping the feasible endpoint
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if eps_of(mid) <= eps_allowed:
-                lo = mid
-            else:
-                hi = mid
-            if eps_of(hi) - eps_of(lo) < BISECT_F_TOL:
-                break
-        bound = lo
+    T_A, T_B = generation_transmittances(hardware, l0_km, geometry)
+    bound = min(beta_sq_for_epsilon(hardware.detector, eps_allowed, T_A, T_B),
+                BETA_SQ_HI)
     if bound <= 0.0:
         return None
-    if hardware.detector.kind is DetectorKind.SINGLE_PHOTON:
+    eta = hardware.detector.efficiency
+    if hardware.detector.kind is DetectorKind.SINGLE_PHOTON and eta > 0.0:
         # p peaks at beta^2 = 1/(2 eta); pushing beta past the peak only hurts
-        peak = 1.0 / (2.0 * hardware.detector.efficiency)
-        bound = min(bound, peak)
+        bound = min(bound, 1.0 / (2.0 * eta))
     return bound
 
 
@@ -198,24 +181,12 @@ def optimize_chain(L_km: float, F_target: float, hardware: Hardware,
 
 def sweep(spec: SweepSpec) -> list[OptimumRecord]:
     """optimize_chain over the full grid; infeasible points are flagged."""
-    detectors = spec.detectors or (spec.hardware.detector.kind,)
-    tasks = []
-    for L in spec.L_grid_km:
-        for F_t in spec.F_targets:
-            for kind in detectors:
-                hw = Hardware(spec.hardware.tau,
-                              type(spec.hardware.detector)(
-                                  kind, spec.hardware.detector.efficiency),
-                              spec.hardware.L_att_km, spec.hardware.c_m_per_s,
-                              spec.hardware.f_hz)
-                tasks.append((L, F_t, hw))
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda t: optimize_chain(t[0], t[1], t[2], spec.geometry),
-                tasks))
-    return [optimize_chain(L, F_t, hw, spec.geometry) for L, F_t, hw in tasks]
+    hw, det = spec.hardware, spec.hardware.detector
+    detectors = spec.detectors or (det.kind,)
+    return [optimize_chain(L, F_t, replace(hw, detector=replace(det, kind=kind)),
+                           spec.geometry)
+            for L in spec.L_grid_km for F_t in spec.F_targets
+            for kind in detectors]
 
 
 def brute_force_chain(L_km: float, F_target: float, hardware: Hardware,

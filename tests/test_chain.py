@@ -148,6 +148,8 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             simulate_waiting_time(1, 0.0, 1.0, 0, 10)
         with pytest.raises(ValueError):
+            simulate_waiting_time(-1, 0.5, 0.5, 0, 10)
+        with pytest.raises(ValueError):
             simulate_waiting_time(1, 0.5, 1.0, 0, 0)
 
     def test_p_one_is_deterministic_unit(self):

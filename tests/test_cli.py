@@ -126,6 +126,11 @@ class TestMontecarlo:
             assert abs(float(row["empirical_mean"]) - float(row["predicted"])) \
                 < 5 * float(row["std_error"])
 
+    def test_negative_level_is_config_error(self, tmp_path):
+        cfg = {"montecarlo": {"n": -1, "p_g": 0.5, "trials": 10}}
+        code, _ = invoke(tmp_path, "montecarlo", cfg)
+        assert code == 2
+
     def test_trials_required(self, tmp_path):
         cfg = {"montecarlo": {"mode": "waiting", "n": 0, "p_g": 0.1}}
         code, _ = invoke(tmp_path, "montecarlo", cfg)

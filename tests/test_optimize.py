@@ -1,14 +1,15 @@
 """Constrained time optimization of the repeater chain."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from rnpm.chain import (ChainConfig, GeometryKind, Hardware, chain_closed_form,
                         direct_transmission_time)
 from rnpm.formulas import DetectorKind, DetectorModel
-from rnpm.optimize import (OptimumRecord, SweepSpec, brute_force_chain,
-                           optimize_chain, sweep)
+from rnpm.optimize import (OptimumRecord, SweepSpec, _time_for,
+                           brute_force_chain, optimize_chain, sweep)
 
 HW = Hardware(0.98, DetectorModel(DetectorKind.SINGLE_PHOTON, 0.95))
 
@@ -32,10 +33,22 @@ class TestOptimizeChain:
         assert rec.message
 
     def test_beats_or_matches_brute_force(self):
-        for L, F in ((200.0, 0.9), (600.0, 0.9)):
-            rec = optimize_chain(L, F, HW)
-            ref = brute_force_chain(L, F, HW)
-            assert rec.T_seconds <= ref * 1.01
+        mid, end = GeometryKind.MIDPOINT, GeometryKind.ENDPOINT
+        cases = [(200.0, HW, mid), (600.0, HW, mid), (400.0, HW, end)]
+        for kind in (DetectorKind.THRESHOLD, DetectorKind.NUMBER_RESOLVING):
+            hw = replace(HW, detector=DetectorModel(kind, 0.95))
+            cases += [(400.0, hw, mid), (400.0, hw, end)]
+        for L, hw, geometry in cases:
+            rec = optimize_chain(L, 0.9, hw, geometry)
+            assert rec.F_achieved >= 0.9 - 1e-9
+            assert rec.T_seconds <= brute_force_chain(L, 0.9, hw, geometry) * 1.01
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_blind_detector_is_infeasible(self, kind):
+        hw = replace(HW, detector=DetectorModel(kind, 0.0))
+        for n in (0, 1):
+            assert _time_for(n, 100.0, 0.9, hw, GeometryKind.MIDPOINT,
+                             0.01) is None
 
     def test_direct_baseline_filled(self):
         rec = optimize_chain(100.0, 0.9, HW)
