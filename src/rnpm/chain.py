@@ -167,9 +167,11 @@ def key_rate(F: float) -> float:
 
 def direct_transmission_time(L_km: float, f_hz: float, eta: float,
                              L_att_km: float) -> float:
-    """Average time (f eta T_L)^{-1} for direct single-photon transmission."""
+    """Average time (f eta T_L)^{-1} of direct transmission; inf at eta = 0."""
     if f_hz <= 0:
         raise ValueError("source rate must be positive")
+    if eta == 0.0:
+        return math.inf
     return math.exp(L_km / L_att_km) / (f_hz * eta)
 
 

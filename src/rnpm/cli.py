@@ -23,9 +23,9 @@ import sys
 import numpy as np
 
 from . import distill, optics, optimize
-from .chain import (GeometryKind, Hardware, chain_closed_form, ChainConfig,
-                    expected_max_geometric, simulate_waiting_time,
-                    waiting_time_stats)
+from .chain import (GeometryKind, Hardware, ChainConfig,
+                    expected_max_geometric, generation_perf,
+                    simulate_waiting_time, swap_perf, waiting_time_stats)
 from .formulas import (DetectorKind, DetectorModel, InteractionParams,
                        LinkGeometry, link_transmittance, performance,
                        performance_oracle)
@@ -186,6 +186,15 @@ def cmd_distill(config: dict, args) -> tuple[int, list[dict], list[str]]:
     return 0, rows, ["F", "beta_sq", "P_s", "F_prime"]
 
 
+MC_COLS = ["quantity", "n", "p_g", "p_s", "trials", "seed",
+           "empirical_mean", "std_error", "predicted"]
+
+
+def _mc_row(quantity: str, head: tuple, mean, se, predicted) -> dict:
+    """One montecarlo row; ``head`` is (n, p_g, p_s, trials, seed)."""
+    return dict(zip(MC_COLS, (quantity, *head, mean, se, predicted)))
+
+
 def _montecarlo_waiting(block: dict, hw: Hardware, geometry: GeometryKind,
                         seed: int, trials: int) -> list[dict]:
     n = int(block.get("n", 1))
@@ -193,39 +202,23 @@ def _montecarlo_waiting(block: dict, hw: Hardware, geometry: GeometryKind,
     if "p_g" in block:
         p_g = float(block["p_g"])
         p_s = float(block.get("p_s", 1.0))
-        cfg = None
     else:
         bg = math.sqrt(float(block.get("beta_g_sq", 0.04)))
         bs = math.sqrt(float(block.get("beta_s_sq", 0.04)))
         cfg = ChainConfig(L_km, n, bg, bs, hw, geometry)
-        from .chain import generation_perf, swap_perf
         p_g = generation_perf(bg, hw, cfg.l0_km, geometry)[0]
         p_s = swap_perf(bs, hw)[0] if n else 1.0
     samples = simulate_waiting_time(n, p_g, p_s, seed, trials)
     mean, se = waiting_time_stats(samples)
     unit = (L_km / 2 ** n) * 1e3 / hw.c_m_per_s
     predicted = 1.5 ** n / (p_g * p_s ** n) if n else 1.0 / p_g
-    rows = [{
-        "quantity": "waiting_time_units", "n": n,
-        "p_g": p_g, "p_s": p_s,
-        "trials": trials, "seed": seed,
-        "empirical_mean": mean, "std_error": se,
-        "predicted": predicted,
-    }, {
-        "quantity": "waiting_time_seconds", "n": n,
-        "p_g": p_g, "p_s": p_s,
-        "trials": trials, "seed": seed,
-        "empirical_mean": mean * unit, "std_error": se * unit,
-        "predicted": predicted * unit,
-    }]
+    head = (n, p_g, p_s, trials, seed)
+    rows = [_mc_row("waiting_time_units", head, mean, se, predicted),
+            _mc_row("waiting_time_seconds", head, mean * unit, se * unit,
+                    predicted * unit)]
     if n == 1 and p_s == 1.0:
-        rows.append({
-            "quantity": "max_of_two_geometrics", "n": n,
-            "p_g": p_g, "p_s": p_s,
-            "trials": trials, "seed": seed,
-            "empirical_mean": mean, "std_error": se,
-            "predicted": expected_max_geometric(p_g),
-        })
+        rows.append(_mc_row("max_of_two_geometrics", head, mean, se,
+                            expected_max_geometric(p_g)))
     return rows
 
 
@@ -238,48 +231,34 @@ def _montecarlo_rnpm(block: dict, hw: Hardware, seed: int,
                                 hw.detector)
     ens = optics.run_protocol(cfg)
     keys = sorted(ens.entries)
-    probs = np.array([ens.entries[k].probability for k in keys])
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip([ens.entries[k].probability for k in keys], 0.0, None)
     probs = probs / probs.sum()
-    eps_of = {}
-    for key in keys:
+    # phase error per outcome; -1 marks failures and stateless (p ~ 0) ones
+    eps_of = np.full(len(keys), -1.0)
+    for i, key in enumerate(keys):
         par = optics.outcome_parity(*key)
-        if par is not None:
-            eps_of[key], _ = optics.phase_error_split(ens.entries[key].state, par)
+        state = ens.entries[key].state
+        if par is not None and state is not None:
+            eps_of[i], _ = optics.phase_error_split(state, par)
     # fixed-block sampling for worker-count-independent determinism
     block_sz = 4096
-    succ = 0
-    errs = 0
-    done = 0
-    b_idx = 0
-    while done < trials:
+    succ = errs = 0
+    for b_idx, done in enumerate(range(0, trials, block_sz)):
         cnt = min(block_sz, trials - done)
         rng = np.random.default_rng([seed, b_idx])
-        draws = rng.choice(len(keys), size=cnt, p=probs)
+        eps = eps_of[rng.choice(len(keys), size=cnt, p=probs)]
         u = rng.random(cnt)
-        for d, uu in zip(draws, u):
-            key = keys[d]
-            if key in eps_of:
-                succ += 1
-                if uu < eps_of[key]:
-                    errs += 1
-        done += cnt
-        b_idx += 1
+        succ += int(np.count_nonzero(eps >= 0.0))
+        errs += int(np.count_nonzero(u < eps))
     T_A, T_B = link_transmittance(geom)
     pf = performance(hw.detector, InteractionParams(math.sqrt(b2)), T_A, T_B)
     p_hat = succ / trials
     p_se = math.sqrt(max(p_hat * (1 - p_hat), 1e-300) / trials)
     e_hat = errs / succ if succ else 0.0
     e_se = math.sqrt(max(e_hat * (1 - e_hat), 1e-300) / max(succ, 1))
-    return [{
-        "quantity": "rnpm_success_probability", "n": "", "p_g": "", "p_s": "",
-        "trials": trials, "seed": seed, "empirical_mean": p_hat,
-        "std_error": p_se, "predicted": pf.p,
-    }, {
-        "quantity": "rnpm_phase_error", "n": "", "p_g": "", "p_s": "",
-        "trials": trials, "seed": seed, "empirical_mean": e_hat,
-        "std_error": e_se, "predicted": pf.epsilon,
-    }]
+    head = ("", "", "", trials, seed)
+    return [_mc_row("rnpm_success_probability", head, p_hat, p_se, pf.p),
+            _mc_row("rnpm_phase_error", head, e_hat, e_se, pf.epsilon)]
 
 
 def cmd_montecarlo(config: dict, args) -> tuple[int, list[dict], list[str]]:
@@ -299,9 +278,7 @@ def cmd_montecarlo(config: dict, args) -> tuple[int, list[dict], list[str]]:
         rows = _montecarlo_waiting(block, hw, geometry, seed, trials)
     else:
         rows = _montecarlo_rnpm(block, hw, seed, trials)
-    cols = ["quantity", "n", "p_g", "p_s", "trials", "seed",
-            "empirical_mean", "std_error", "predicted"]
-    return 0, rows, cols
+    return 0, rows, MC_COLS
 
 
 def cmd_optics(config: dict, args, out) -> int:

@@ -7,7 +7,8 @@ conditional phase-error probability ``epsilon`` of one attempt are fully
 determined by the joint distribution Q(k, l) of the total photon number k
 emitted and the total count l announced by the detectors.  This module holds
 the closed forms for the three detector types together with an independent
-brute-force summation oracle over the Q(k, l) table.
+brute-force summation oracle over the Q(k, l) table, and the Poisson tail
+and cutoff helpers that size every truncated sum in the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import signal, stats
 
 
 class DetectorKind(Enum):
@@ -111,7 +111,47 @@ def poisson_pmf(lam: float, k: int) -> float:
         return 0.0
     if lam == 0.0:
         return 1.0 if k == 0 else 0.0
-    return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+    if k < 16:
+        return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+    # Loader's saddle-point form: the Stirling remainder of lgamma and the
+    # deviance k log(k/lam) + lam - k, so no large logs cancel
+    kk = k * k
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk))
+                                     / kk) / kk) / kk) / k
+    bd0 = k * math.log1p((k - lam) / lam) - (k - lam)
+    return math.exp(-stirlerr - bd0) / math.sqrt(2.0 * math.pi * k)
+
+
+def poisson_sf(k: int, lam: float) -> float:
+    """Upper tail P(X > k) of a Poisson(lam) variable.
+
+    Sums the smaller side, scaled by its largest term: 1 - sum_{j<=k} when
+    k + 1 < lam (the tail is then about 1/2 or more), else the upward tail.
+    Terms stop below 1e-17 of the largest, so a call sums O(1 + sqrt(lam)).
+    """
+    if k < 0:
+        return 1.0
+    if lam == 0.0:
+        return 0.0
+    lower = k + 1 < lam
+    j = k if lower else k + 1
+    anchor = poisson_pmf(lam, j)
+    t, terms = 1.0, [1.0]
+    while t > 1e-17 and j > 0:
+        t *= j / lam if lower else lam / (j + 1)
+        j += -1 if lower else 1
+        terms.append(t)
+    tail = anchor * math.fsum(terms)
+    return 1.0 - tail if lower else tail
+
+
+def poisson_cutoff(lam: float, tail: float, start: int,
+                   cap: float = math.inf) -> int:
+    """Smallest k >= start with poisson_sf(k, lam) <= tail, or ``cap``."""
+    k = start
+    while k < cap and poisson_sf(k, lam) > tail:
+        k += 1
+    return k
 
 
 def binomial_pmf(q: float, l: int, k: int) -> float:
@@ -218,30 +258,30 @@ def k_max_for(lam: float, tail: float = 1e-12, cap: int = 200) -> int:
     """Smallest k with Poisson upper-tail mass <= tail, capped at ``cap``."""
     if lam <= 0:
         return 1
-    k = max(1, int(lam))
-    while k < cap and stats.poisson.sf(k, lam) > tail:
-        k += 1
-    return k
+    return poisson_cutoff(lam, tail, max(1, int(lam)), cap)
 
 
 def _q_table(params: InteractionParams, T_A: float, T_B: float, eta: float,
              k_max: int) -> np.ndarray:
     """Q(k, l) for 0 <= l <= k <= k_max via the per-arm double-sum definition.
 
-    Built as the 2D convolution of the per-arm joint tables
+    The direct 2D convolution of the per-arm joint tables
     A[k_a, l_a] = B_{eta T_A}(l_a | k_a) P_{beta^2/T_A}(k_a) (same for arm B),
     deliberately avoiding the closed form so this stays an independent oracle.
+    Every term is a nonnegative product, so exact zeros stay exactly zero.
     """
     b2 = params.beta ** 2
-    n = np.arange(k_max + 1)
-    pois_a = stats.poisson.pmf(n, b2 / T_A)
-    pois_b = stats.poisson.pmf(n, b2 / T_B)
-    ks = n[:, None]
-    ls = n[None, :]
-    A = stats.binom.pmf(ls, ks, eta * T_A) * pois_a[:, None]
-    B = stats.binom.pmf(ls, ks, eta * T_B) * pois_b[:, None]
-    Q = signal.fftconvolve(A, B)[: k_max + 1, : k_max + 1]
-    return np.clip(Q, 0.0, None)
+    n = range(k_max + 1)
+    A, B = (np.array([[binomial_pmf(eta * T, l, k) for l in n] for k in n])
+            * np.array([poisson_pmf(b2 / T, k) for k in n])[:, None]
+            for T in (T_A, T_B))
+    # row k_a of A shifts B by k_a photons; S[l_b, l] = A[k_a, l - l_b]
+    lag = np.arange(k_max + 1)[None, :] - np.arange(k_max + 1)[:, None]
+    Q = np.zeros((k_max + 1, k_max + 1))
+    for ka in n:
+        S = np.where(lag >= 0, A[ka][np.maximum(lag, 0)], 0.0)
+        Q[ka:] += (B @ S)[: k_max + 1 - ka]
+    return Q
 
 
 def performance_oracle(detector: DetectorModel, params: InteractionParams,
@@ -259,7 +299,7 @@ def performance_oracle(detector: DetectorModel, params: InteractionParams,
     lam = b2 * (1.0 / T_A + 1.0 / T_B)
     if k_max is None:
         k_max = k_max_for(lam, tail)
-    if stats.poisson.sf(k_max, lam) > tail:
+    if poisson_sf(k_max, lam) > tail:
         raise TruncationError(
             f"k_max={k_max} leaves Poisson tail above {tail}; "
             f"need k_max >= {k_max_for(lam, tail, cap=10_000)}")
@@ -277,18 +317,15 @@ def performance_oracle(detector: DetectorModel, params: InteractionParams,
         chi_minus = (signs * Q).sum(axis=0)
         p = chi_plus[1:].sum()
         num = (chi_plus[1:] - chi_minus[1:]).sum()
-    elif detector.kind is DetectorKind.SINGLE_PHOTON:
-        # only l = 1 is announced; everything else collapses to l = 0
-        col = Q[:, 1]
-        sgn = np.where((np.arange(k_max + 1) - 1) % 2 == 0, 1.0, -1.0)
-        p = col.sum()
-        num = col.sum() - (sgn * col).sum()
     else:
+        # single photon: only l = 1 is announced, everything else reads l = 0;
         # threshold: any l >= 1 collapses to the announced count 1
-        S = np.tril(Q)[:, 1:].sum(axis=1)
-        sgn = np.where((np.arange(k_max + 1) - 1) % 2 == 0, 1.0, -1.0)
-        p = S.sum()
-        num = S.sum() - (sgn * S).sum()
+        if detector.kind is DetectorKind.SINGLE_PHOTON:
+            col = Q[:, 1]
+        else:
+            col = np.tril(Q)[:, 1:].sum(axis=1)
+        p = col.sum()
+        num = p - (np.where(ks[:, 0] % 2 == 1, 1.0, -1.0) * col).sum()
 
     eps = num / (2.0 * p) if p > 0 else 0.0
     return PerfPoint(p=float(p), epsilon=float(eps))

@@ -5,7 +5,8 @@ computational-basis branches of the memory pair, each dressed with coherent
 amplitudes for the two pulses, and evaluates detector POVM matrix elements in
 closed form.  ``fock_oracle`` repeats the computation on a truncated
 number-state basis with an explicit beam-splitter unitary and Kraus-operator
-loss, serving as an independent verification path.
+loss, serving as an independent verification path.  Its unitaries are
+exponentials of anti-Hermitian generators, taken through ``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy import linalg, stats
 
 from .formulas import (DetectorKind, DetectorModel, InteractionParams,
-                       LinkGeometry, link_transmittance)
+                       LinkGeometry, binomial_pmf, link_transmittance,
+                       poisson_cutoff, poisson_sf)
+from .gadgets import PHI_PLUS, PSI_PLUS  # noqa: F401  (re-exported)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -70,21 +72,15 @@ def interact(state: BranchState, theta: float, qubit: str) -> BranchState:
     The pulse amplitude picks up e^{i(-1)^j theta/2} and the branch amplitude
     e^{-i(-1)^j phi/2} with phi = |pulse|^2 sin(theta).
     """
+    field_name = "mode_a" if qubit == "A" else "mode_b"
     out = []
     for br in state.branches:
-        j = br.label[0] if qubit == "A" else br.label[1]
-        sgn = (-1) ** j
-        if qubit == "A":
-            mode = br.mode_a
-        else:
-            mode = br.mode_b
+        sgn = (-1) ** br.label[0 if qubit == "A" else 1]
+        mode = getattr(br, field_name)
         phi = abs(mode) ** 2 * math.sin(theta)
         amp = br.amplitude * cmath.exp(-1j * sgn * phi / 2.0)
         mode = mode * cmath.exp(1j * sgn * theta / 2.0)
-        if qubit == "A":
-            out.append(replace(br, amplitude=amp, mode_a=mode))
-        else:
-            out.append(replace(br, amplitude=amp, mode_b=mode))
+        out.append(replace(br, amplitude=amp, **{field_name: mode}))
     return BranchState(out)
 
 
@@ -239,13 +235,24 @@ def _final_branches(config: ProtocolConfig):
     return branches
 
 
+def _outcome_entry(rho0: np.ndarray, M: np.ndarray, m: int,
+                   n: int) -> OutcomeEntry:
+    """Probability and Z_B-corrected conditional state from the weights M."""
+    rho_u = rho0 * M
+    prob = float(np.trace(rho_u).real)
+    if prob <= 1e-300:
+        return OutcomeEntry(max(prob, 0.0), None)
+    rho_c = rho_u / prob
+    if (m + n) % 2 == 1:
+        rho_c = Z_B @ rho_c @ Z_B
+    return OutcomeEntry(prob, 0.5 * (rho_c + rho_c.conjugate().T))
+
+
 def _outcome_grid(detector: DetectorModel, branches, tail: float = 1e-13):
     if detector.kind is not DetectorKind.NUMBER_RESOLVING:
         return [(m, n) for m in (0, 1) for n in (0, 1)]
     lam = max(max(abs(d1) ** 2, abs(d2) ** 2) for _, d1, d2, _, _ in branches)
-    m_max = 4
-    while stats.poisson.sf(m_max, lam * detector.efficiency) > tail:
-        m_max += 1
+    m_max = poisson_cutoff(lam * detector.efficiency, tail, 4)
     return [(m, n) for m in range(m_max + 1) for n in range(m_max + 1)]
 
 
@@ -268,16 +275,7 @@ def run_protocol(config: ProtocolConfig) -> OutcomeEnsemble:
                 fac *= povm_overlap(config.detector, m, d1c, d1r)
                 fac *= povm_overlap(config.detector, n, d2c, d2r)
                 M[r, c] = fac
-        rho_u = rho0 * M
-        prob = float(np.trace(rho_u).real)
-        if prob <= 1e-300:
-            ensemble.entries[(m, n)] = OutcomeEntry(max(prob, 0.0), None)
-            continue
-        rho_c = rho_u / prob
-        if (m + n) % 2 == 1:
-            rho_c = Z_B @ rho_c @ Z_B
-        rho_c = 0.5 * (rho_c + rho_c.conjugate().T)
-        ensemble.entries[(m, n)] = OutcomeEntry(prob, rho_c)
+        ensemble.entries[(m, n)] = _outcome_entry(rho0, M, m, n)
     return ensemble
 
 
@@ -295,6 +293,12 @@ def _coherent_vec(gamma: complex, dim: int) -> np.ndarray:
     logg = cmath.log(gamma)
     expo = -0.5 * abs(gamma) ** 2 + n * logg - 0.5 * logfact
     return np.exp(expo)
+
+
+def _expm_antihermitian(G: np.ndarray) -> np.ndarray:
+    """exp(G) for anti-Hermitian G: with 1j*G = V diag(w) V^+, V e^{-iw} V^+."""
+    w, V = np.linalg.eigh(1j * G)
+    return (V * np.exp(-1j * w)) @ V.conjugate().T
 
 
 def _annihilator(dim: int) -> np.ndarray:
@@ -318,7 +322,7 @@ def _detector_diag(detector: DetectorModel, m: int, dim: int) -> np.ndarray:
     ns = np.arange(dim)
     eta = detector.efficiency
     if detector.kind is DetectorKind.NUMBER_RESOLVING:
-        return stats.binom.pmf(m, ns, eta)
+        return np.array([binomial_pmf(eta, m, k) for k in ns])
     one = ns * eta * np.where(ns >= 1, (1.0 - eta) ** np.maximum(ns - 1, 0), 0.0)
     if detector.kind is DetectorKind.SINGLE_PHOTON:
         return one if m == 1 else 1.0 - one
@@ -335,10 +339,7 @@ def required_n_max(config: ProtocolConfig, tail: float = 1e-12) -> int:
         amps.extend([abs(d1), abs(d2)])
     amps.append(SQRT2 * alpha * abs(math.cos(theta / 2.0)))
     lam = max(a ** 2 for a in amps)
-    n = 8
-    while stats.poisson.sf(n, lam) > tail:
-        n += 1
-    return n + 6  # margin for displacement spillover
+    return poisson_cutoff(lam, tail, 8) + 6  # margin for displacement spillover
 
 
 def fock_oracle(config: ProtocolConfig, n_max: int | None = None,
@@ -357,7 +358,7 @@ def fock_oracle(config: ProtocolConfig, n_max: int | None = None,
 
     # truncation pre-check on the largest pulse amplitude
     lam = max(alpha ** 2 / T_A, alpha ** 2 / T_B)
-    if stats.poisson.sf(n_max, lam) > tail:
+    if poisson_sf(n_max, lam) > tail:
         raise ValueError(
             f"n_max={n_max} insufficient for amplitude^2={lam:.3g}; "
             f"need n_max >= {required_n_max(config, tail)}")
@@ -365,23 +366,21 @@ def fock_oracle(config: ProtocolConfig, n_max: int | None = None,
     a1 = _annihilator(dim)
 
     # per-branch initial pulse kets with the interaction phases
+    D_a = D_b = np.eye(dim)
+    if config.variant is Variant.LOCAL_DISPLACEMENT:
+        d_a = -(alpha / math.sqrt(T_A)) * math.cos(theta / 2.0)
+        d_b = -(alpha / math.sqrt(T_B)) * math.cos(theta / 2.0)
+        D_a = _expm_antihermitian(d_a * a1.T - d_a * a1)
+        D_b = _expm_antihermitian(d_b * a1.T - d_b * a1)
+    phi_a = (alpha ** 2 / T_A) * math.sin(theta)
+    phi_b = (alpha ** 2 / T_B) * math.sin(theta)
     kets_a, kets_b, phases = [], [], []
     for (j, k) in BASIS_LABELS:
         ga = (alpha / math.sqrt(T_A)) * cmath.exp(1j * (-1) ** j * theta / 2.0)
         gb = (alpha / math.sqrt(T_B)) * cmath.exp(1j * (-1) ** k * theta / 2.0)
-        phi_a = (alpha ** 2 / T_A) * math.sin(theta)
-        phi_b = (alpha ** 2 / T_B) * math.sin(theta)
-        ph = cmath.exp(-1j * ((-1) ** j * phi_a + (-1) ** k * phi_b) / 2.0)
-        va = _coherent_vec(ga, dim)
-        vb = _coherent_vec(gb, dim)
-        if config.variant is Variant.LOCAL_DISPLACEMENT:
-            d_a = -(alpha / math.sqrt(T_A)) * math.cos(theta / 2.0)
-            d_b = -(alpha / math.sqrt(T_B)) * math.cos(theta / 2.0)
-            va = linalg.expm(d_a * a1.T - d_a * a1) @ va
-            vb = linalg.expm(d_b * a1.T - d_b * a1) @ vb
-        kets_a.append(va)
-        kets_b.append(vb)
-        phases.append(ph)
+        kets_a.append(D_a @ _coherent_vec(ga, dim))
+        kets_b.append(D_b @ _coherent_vec(gb, dim))
+        phases.append(cmath.exp(-1j * ((-1) ** j * phi_a + (-1) ** k * phi_b) / 2.0))
 
     kraus_a = _loss_kraus(T_A, dim)
     kraus_b = _loss_kraus(T_B, dim)
@@ -389,10 +388,10 @@ def fock_oracle(config: ProtocolConfig, n_max: int | None = None,
     # beam splitter: coherent (ga, gb) -> ((ga-gb)/sqrt2, (ga+gb)/sqrt2)
     A = np.kron(a1, np.eye(dim))
     B = np.kron(np.eye(dim), a1)
-    U = linalg.expm((-math.pi / 4.0) * (A.T @ B - B.T @ A))
+    U = _expm_antihermitian((-math.pi / 4.0) * (A.T @ B - B.T @ A))
     if config.variant is Variant.CENTRAL_DISPLACEMENT:
         d = -SQRT2 * alpha * math.cos(theta / 2.0)
-        D2 = linalg.expm(d * a1.T - d * a1)
+        D2 = _expm_antihermitian(d * a1.T - d * a1)
         U = np.kron(np.eye(dim), D2) @ U
 
     # mode operators per ordered branch pair, then the weighted diagonal
@@ -409,10 +408,8 @@ def fock_oracle(config: ProtocolConfig, n_max: int | None = None,
     rho0 = config.initial_density()
     grid = _outcome_grid(config.detector, _final_branches(config))
     ensemble = OutcomeEnsemble()
-    pi = {}
-    seen_m = sorted({m for m, _ in grid} | {n for _, n in grid})
-    for m in seen_m:
-        pi[m] = _detector_diag(config.detector, m, dim)
+    pi = {m: _detector_diag(config.detector, m, dim)
+          for m in {count for mn in grid for count in mn}}
     for (m, n) in grid:
         M = np.empty((4, 4), dtype=complex)
         for r in range(4):
@@ -420,27 +417,13 @@ def fock_oracle(config: ProtocolConfig, n_max: int | None = None,
                 W = diags[(r, c)] if c >= r else diags[(c, r)].conjugate()
                 w = pi[m] @ W @ pi[n]
                 M[r, c] = phases[r] * phases[c].conjugate() * w
-        rho_u = rho0 * M
-        prob = float(np.trace(rho_u).real)
-        if prob <= 1e-300:
-            ensemble.entries[(m, n)] = OutcomeEntry(max(prob, 0.0), None)
-            continue
-        rho_c = rho_u / prob
-        if (m + n) % 2 == 1:
-            rho_c = Z_B @ rho_c @ Z_B
-        rho_c = 0.5 * (rho_c + rho_c.conjugate().T)
-        ensemble.entries[(m, n)] = OutcomeEntry(prob, rho_c)
+        ensemble.entries[(m, n)] = _outcome_entry(rho0, M, m, n)
     return ensemble
 
 
 # ---------------------------------------------------------------------------
 # Phase-error extraction
 # ---------------------------------------------------------------------------
-
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / SQRT2
-PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / SQRT2
-PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / SQRT2
-PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / SQRT2
 
 _P_EVEN = np.diag([1.0, 0.0, 0.0, 1.0])
 _P_ODD = np.diag([0.0, 1.0, 1.0, 0.0])

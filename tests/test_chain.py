@@ -95,6 +95,9 @@ class TestScalars:
         with pytest.raises(ValueError):
             direct_transmission_time(100.0, 0.0, 0.9, 22.0)
 
+    def test_direct_transmission_zero_efficiency_never_arrives(self):
+        assert direct_transmission_time(100.0, 1e10, 0.0, 22.0) == math.inf
+
     def test_expected_max_geometric(self):
         assert expected_max_geometric(1.0) == pytest.approx(1.0)
         assert expected_max_geometric(0.5) == pytest.approx(4.0 - 4.0 / 3.0)

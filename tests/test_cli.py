@@ -7,9 +7,15 @@ import os
 import subprocess
 import sys
 
+import math
+
+import numpy as np
 import pytest
 
-from rnpm.cli import run
+from rnpm.cli import parse_hardware, run
+from rnpm.formulas import InteractionParams, LinkGeometry
+from rnpm.optics import (ProtocolConfig, outcome_parity, phase_error_split,
+                         run_protocol)
 
 PERF_COLS = ["detector", "beta_sq", "T_A", "T_B", "eta", "p", "epsilon",
              "p_oracle", "epsilon_oracle"]
@@ -86,6 +92,17 @@ class TestRepeater:
         _, rows = parse_csv(text)
         assert rows[0]["errors"] != ""
 
+    @pytest.mark.parametrize("detector", ["number_resolving", "single_photon",
+                                          "threshold"])
+    def test_zero_efficiency_is_infeasible(self, tmp_path, detector):
+        cfg = {"hardware": {"eta": 0.0, "detector": detector},
+               "repeater": {"L_km": [100]}}
+        code, text = invoke(tmp_path, "repeater", cfg)
+        assert code == 3
+        _, rows = parse_csv(text)
+        assert rows and all(row["errors"] for row in rows)
+        assert {row["direct_seconds"] for row in rows} == {"inf"}
+
 
 class TestDistill:
     def test_default_beta_grid(self, tmp_path):
@@ -125,6 +142,47 @@ class TestMontecarlo:
         for row in rows:
             assert abs(float(row["empirical_mean"]) - float(row["predicted"])) \
                 < 5 * float(row["std_error"])
+
+    def test_rnpm_mode_zero_beta(self, tmp_path):
+        # every outcome but the failure (0, 0) has probability 0 and no state
+        cfg = {"montecarlo": {"mode": "rnpm", "beta_sq": 0.0}}
+        code, text = invoke(tmp_path, "montecarlo", cfg,
+                            "--seed", "1", "--trials", "5000")
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert [float(row["empirical_mean"]) for row in rows] == [0.0, 0.0]
+
+    def test_rnpm_mode_matches_per_trial_loop(self, tmp_path):
+        cfg = {"hardware": {"detector": "number_resolving"},
+               "montecarlo": {"mode": "rnpm", "beta_sq": 0.3,
+                              "L_A_km": 5, "L_B_km": 5}}
+        seed, trials = 4, 9000
+        code, text = invoke(tmp_path, "montecarlo", cfg, "--seed", str(seed),
+                            "--trials", str(trials))
+        assert code == 0
+        _, rows = parse_csv(text)
+        # reference: one Python step per trial over the same RNG blocks
+        hw = parse_hardware(cfg)
+        geom = LinkGeometry(5.0, 5.0, hw.L_att_km, hw.tau)
+        ens = run_protocol(ProtocolConfig(InteractionParams(math.sqrt(0.3)),
+                                          geom, hw.detector))
+        keys = sorted(ens.entries)
+        probs = np.clip([ens.entries[k].probability for k in keys], 0.0, None)
+        probs = probs / probs.sum()
+        eps_of = {k: phase_error_split(ens.entries[k].state,
+                                       outcome_parity(*k))[0]
+                  for k in keys if outcome_parity(*k) is not None}
+        succ = errs = 0
+        for b, done in enumerate(range(0, trials, 4096)):
+            rng = np.random.default_rng([seed, b])
+            cnt = min(4096, trials - done)
+            draws = rng.choice(len(keys), size=cnt, p=probs)
+            for d, u in zip(draws, rng.random(cnt)):
+                if keys[d] in eps_of:
+                    succ += 1
+                    errs += u < eps_of[keys[d]]
+        assert float(rows[0]["empirical_mean"]) == succ / trials
+        assert float(rows[1]["empirical_mean"]) == errs / succ
 
     def test_negative_level_is_config_error(self, tmp_path):
         cfg = {"montecarlo": {"n": -1, "p_g": 0.5, "trials": 10}}
@@ -218,3 +276,11 @@ class TestConfigHandling:
         assert json.loads(path.read_text()) == cfg
         out = io.StringIO()
         assert run(["perf", "--config", str(path)], stdout=out) == 0
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, rnpm.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.strip() == "[]"

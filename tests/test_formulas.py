@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rnpm.formulas import _q_table
 from rnpm.formulas import (DetectorKind, DetectorModel, InteractionParams,
                            LinkGeometry, PerfPoint, TruncationError,
                            beta_sq_for_epsilon, binomial_pmf, chi, k_max_for,
                            link_transmittance, performance,
                            performance_for_geometry,
-                           performance_oracle, poisson_pmf, q_infty)
+                           performance_oracle, poisson_cutoff, poisson_pmf,
+                           poisson_sf, q_infty)
 
 ALL_KINDS = list(DetectorKind)
 
@@ -57,6 +59,24 @@ class TestQInfty:
         par = InteractionParams(0.0)
         assert q_infty(0, 0, par, 0.8, 0.8, 1.0) == pytest.approx(1.0)
         assert q_infty(1, 0, par, 0.8, 0.8, 1.0) == 0.0
+
+    def test_q_table_is_the_per_arm_double_sum(self):
+        par, T_A, T_B, eta, K = InteractionParams(0.5), 0.4, 0.7, 0.8, 12
+
+        def arm(T, k, l):
+            return binomial_pmf(eta * T, l, k) * poisson_pmf(0.25 / T, k)
+
+        ref = np.zeros((K + 1, K + 1))
+        for k in range(K + 1):
+            for l in range(k + 1):
+                ref[k, l] = math.fsum(
+                    arm(T_A, ka, la) * arm(T_B, k - ka, l - la)
+                    for ka in range(k + 1) for la in range(min(ka, l) + 1))
+        Q = _q_table(par, T_A, T_B, eta, K)
+        assert np.allclose(Q, ref, rtol=1e-14, atol=0.0)
+        assert np.all(np.triu(Q, 1) == 0.0)
+        assert Q[K, 3] == pytest.approx(q_infty(K, 3, par, T_A, T_B, eta),
+                                        rel=1e-12)
 
     def test_l_greater_than_k_vanishes(self):
         par = InteractionParams(0.2)
@@ -187,6 +207,61 @@ class TestOracleAgreement:
 
     def test_k_max_for_grows_with_lambda(self):
         assert k_max_for(0.01) <= k_max_for(1.0) <= k_max_for(10.0)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_zero_efficiency_oracle_is_exactly_zero(self, kind):
+        # nothing is ever counted, so no roundoff may leak into l >= 1
+        for b2, T_A, T_B in ((0.04, 1.0, 1.0), (0.3, 0.15, 0.8)):
+            po = perf_pair(kind, b2, T_A, T_B, 0.0)[1]
+            assert po.p == 0.0
+            assert po.epsilon == 0.0
+
+
+class TestPoissonTail:
+    def test_edges(self):
+        assert poisson_sf(0, 0.0) == 0.0
+        assert poisson_sf(5, 0.0) == 0.0
+        assert poisson_sf(-1, 3.0) == 1.0
+        assert poisson_sf(-1, 0.0) == 1.0
+        assert poisson_sf(0, 1e-10) == pytest.approx(1e-10, rel=1e-9)
+        with pytest.raises(ValueError):
+            poisson_sf(3, -1.0)
+
+    def test_huge_lambda_returns_at_once(self):
+        assert poisson_sf(10, 1e6) == 1.0
+        assert 0.49 < poisson_sf(10 ** 6, 1e6) < 0.5
+        assert k_max_for(1e6) == 10 ** 6
+        assert poisson_cutoff(1e6, 1e-12, 0, cap=50) == 50
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(0, 700), lam=st.floats(0.0, 500.0))
+    def test_matches_scipy(self, k, lam):
+        stats = pytest.importorskip("scipy.stats")
+        ref = stats.poisson.sf(k, lam)
+        if ref > 1e-290:
+            # scipy's own sf is off by up to 1.5e-12 relative for k >~ 480
+            # and sf < 1e-30 (checked against mpmath); see test_matches_mpmath
+            assert poisson_sf(k, lam) == pytest.approx(ref, rel=2e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(0, 700), lam=st.floats(0.0, 500.0))
+    def test_matches_mpmath(self, k, lam):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = float(mp.gammainc(k + 1, 0, lam, regularized=True)) \
+                if lam > 0 else 0.0
+        if ref > 1e-290:
+            assert poisson_sf(k, lam) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("tail,cap", [(1e-12, 200), (1e-16, 200),
+                                          (1e-16, 10_000)])
+    def test_k_max_for_matches_scipy_cutoff(self, tail, cap):
+        stats = pytest.importorskip("scipy.stats")
+        for lam in np.geomspace(1e-3, 400.0, 41):
+            k = max(1, int(lam))
+            while k < cap and stats.poisson.sf(k, lam) > tail:
+                k += 1
+            assert k_max_for(lam, tail, cap) == k
 
 
 class TestValidation:
