@@ -185,25 +185,85 @@ def expected_max_geometric(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 _BLOCK = 64  # trials per RNG block; fixed so results are worker-independent
+_CHUNK = 1 << 20  # level-0 pairs drawn at once by the streaming level-1 kernel
+#: log2 of the cap on one block's expected level-1 count: 2^26 is about 10x
+#: the n=6, p_s=0.2 chain, and the level-1 arrays are what fills memory
+_MAX_LEVEL1_LOG2 = 26
+#: numpy draws geometric(p) by inversion below this p and by search above it
+_GEOMETRIC_SEARCH_P = 1.0 / 3.0
+_INT64_MAX = np.iinfo(np.int64).max
+_INT64_LIMIT = 2.0 ** 63  # numpy's inversion returns INT64_MAX from here up
 
 
-def _sample_level(rng: np.random.Generator, level: int, count: int,
-                  p_g: float, p_s: float) -> np.ndarray:
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    if level == 0:
-        return rng.geometric(p_g, size=count)
-    attempts = rng.geometric(p_s, size=count)
-    children = _sample_level(rng, level - 1, int(2 * attempts.sum()), p_g, p_s)
-    pair_max = np.maximum(children[0::2], children[1::2])
-    starts = np.concatenate(([0], np.cumsum(attempts)[:-1]))
-    return np.add.reduceat(pair_max, starts)
+def _pair_max_chunks(rng: np.random.Generator, p: float, pairs: int):
+    """Yield the max of each consecutive pair of ``2 * pairs`` geometric(p)
+    draws, ``_CHUNK`` pairs at a time, bit for bit as ``rng.geometric``.
+
+    Below ``_GEOMETRIC_SEARCH_P`` numpy's geometric is
+    ``ceil(-standard_exponential() / log1p(-p))``, clamped to INT64_MAX.
+    Division by a positive constant and ceil are monotone, so the max is
+    taken on the exponentials and the log1p division runs once per pair.
+    """
+    for start in range(0, pairs, _CHUNK):
+        size = min(_CHUNK, pairs - start)
+        if p >= _GEOMETRIC_SEARCH_P:
+            g = rng.geometric(p, size=2 * size)
+            yield np.maximum(g[0::2], g[1::2])
+            continue
+        e = rng.standard_exponential(2 * size)
+        z = np.ceil(np.maximum(e[0::2], e[1::2]) / -math.log1p(-p))
+        if z.max() < _INT64_LIMIT:
+            yield z.astype(np.int64)
+            continue
+        big = z >= _INT64_LIMIT
+        z[big] = 0.0
+        pm = z.astype(np.int64)
+        pm[big] = _INT64_MAX
+        yield pm
+
+
+def _slot_sums(pair_maxes, attempts: np.ndarray) -> np.ndarray:
+    """Sum a stream of pair maxima over slots of ``attempts`` values each.
+
+    A running int64 cumsum, carried across chunks, is read at each slot's
+    last index and differenced; it wraps like ``np.add.reduceat`` would, so
+    the sums are bit-identical.
+    """
+    ends = attempts.cumsum()
+    ends -= 1
+    sums = np.empty(len(ends), dtype=np.int64)
+    carry = done = lo = 0
+    for chunk in pair_maxes:
+        cs = chunk.cumsum()
+        cs += carry
+        hi = ends.searchsorted(done + len(chunk))
+        sums[lo:hi] = cs[ends[lo:hi] - done]
+        carry, done, lo = cs[-1], done + len(chunk), hi
+    sums[1:] -= sums[:-1]  # numpy buffers the overlapping operands
+    return sums
 
 
 def _sample_block(seed: int, block: int, count: int, n: int, p_g: float,
                   p_s: float) -> np.ndarray:
+    """Completion times of ``count`` chains of nesting level ``n``.
+
+    Level j >= 1 retries geometric(p_s) times; each attempt waits for the
+    max of two level-(j-1) times.  All attempts are drawn top down first,
+    then the level-0 draws, which is the order of a depth-first recursion;
+    only the level-0 draws, the bulk of the work, are streamed.
+    """
     rng = np.random.default_rng([seed, block])
-    return _sample_level(rng, n, count, p_g, p_s)
+    if n == 0:
+        return rng.geometric(p_g, size=count)
+    attempts = [rng.geometric(p_s, size=count)]
+    for _ in range(n - 1):
+        attempts.append(rng.geometric(p_s, size=2 * int(attempts[-1].sum())))
+    pairs = int(attempts[-1].sum())
+    times = _slot_sums(_pair_max_chunks(rng, p_g, pairs), attempts.pop())
+    while attempts:
+        times = _slot_sums([np.maximum(times[0::2], times[1::2])],
+                           attempts.pop())
+    return times
 
 
 def worker_count() -> int:
@@ -220,7 +280,8 @@ def simulate_waiting_time(n: int, p_g: float, p_s: float, seed: int,
     Elementary links retry geometrically with success p_g; a connection at
     each level waits for both child pairs, retries with success p_s and
     restarts both children after a failure.  Per-block counter-based seeding
-    makes the result independent of the worker count.
+    makes the result independent of the worker count; each worker takes an
+    interleaved group of blocks.
     """
     if n < 0:
         raise ValueError("nesting level must be nonnegative")
@@ -228,16 +289,28 @@ def simulate_waiting_time(n: int, p_g: float, p_s: float, seed: int,
         raise ValueError("trials must be >= 1")
     if not (0.0 < p_g <= 1.0 and 0.0 < p_s <= 1.0):
         raise ValueError("success probabilities must lie in (0, 1]")
+    # in log2, so that a huge n cannot overflow the float power
+    level1_log2 = math.log2(_BLOCK) + (n - 1) * math.log2(2.0 / p_s)
+    if level1_log2 > _MAX_LEVEL1_LOG2:
+        raise ValueError(f"chain too deep to sample: one block of {_BLOCK} "
+                         f"trials expects 2^{level1_log2:.1f} level-1 links, "
+                         f"above the limit of 2^{_MAX_LEVEL1_LOG2}")
     blocks = [(b, min(_BLOCK, trials - b * _BLOCK))
               for b in range((trials + _BLOCK - 1) // _BLOCK)]
-    workers = worker_count()
-    if workers > 1 and len(blocks) > 1:
+    workers = min(worker_count(), len(blocks))
+
+    def run(group):
+        return [_sample_block(seed, b, c, n, p_g, p_s) for b, c in group]
+
+    groups = [blocks[k::workers] for k in range(workers)]
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda bc: _sample_block(seed, bc[0], bc[1], n, p_g, p_s),
-                blocks))
+            results = list(pool.map(run, groups))
     else:
-        parts = [_sample_block(seed, b, c, n, p_g, p_s) for b, c in blocks]
+        results = [run(blocks)]
+    parts = [None] * len(blocks)
+    for k, result in enumerate(results):
+        parts[k::workers] = result
     return np.concatenate(parts).astype(float)
 
 

@@ -92,7 +92,10 @@ def _fmt(x) -> str:
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(rows, out, indent=2)
+        # strict JSON has no inf/nan; CSV keeps repr()'s "inf"
+        rows = [{k: None if isinstance(v, float) and not math.isfinite(v)
+                 else v for k, v in row.items()} for row in rows]
+        json.dump(rows, out, indent=2, allow_nan=False)
         out.write("\n")
         return
     w = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
@@ -179,9 +182,10 @@ def cmd_distill(config: dict, args) -> tuple[int, list[dict], list[str]]:
         for F in F_grid:
             res = distill.recurrence_step(float(F), math.sqrt(float(b2)),
                                           hw.tau, hw.detector)
+            # no fidelity for a state that is never produced
             rows.append({
-                "F": float(F), "beta_sq": float(b2),
-                "P_s": res.P_s, "F_prime": res.F_prime,
+                "F": float(F), "beta_sq": float(b2), "P_s": res.P_s,
+                "F_prime": res.F_prime if res.P_s > 0.0 else None,
             })
     return 0, rows, ["F", "beta_sq", "P_s", "F_prime"]
 

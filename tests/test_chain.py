@@ -4,11 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rnpm import chain
 from rnpm.chain import (ChainConfig, GeometryKind, Hardware,
                         binary_entropy, chain_closed_form, chain_iterated,
                         connect_step, direct_transmission_time,
@@ -18,6 +21,38 @@ from rnpm.chain import (ChainConfig, GeometryKind, Hardware,
 from rnpm.formulas import DetectorKind, DetectorModel
 
 HW = Hardware(0.98, DetectorModel(DetectorKind.SINGLE_PHOTON, 0.95))
+
+
+def _reference_level(rng, level, count, p_g, p_s):
+    """The recursive sampler: every level materialized, slots via reduceat."""
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    if level == 0:
+        return rng.geometric(p_g, size=count)
+    attempts = rng.geometric(p_s, size=count)
+    children = _reference_level(rng, level - 1, int(2 * attempts.sum()),
+                                p_g, p_s)
+    pair_max = np.maximum(children[0::2], children[1::2])
+    starts = np.concatenate(([0], np.cumsum(attempts)[:-1]))
+    return np.add.reduceat(pair_max, starts)
+
+
+def reference_waiting_time(n, p_g, p_s, seed, trials):
+    """Reference for `simulate_waiting_time`: one pool task per block."""
+    blocks = [(b, min(64, trials - b * 64))
+              for b in range((trials + 63) // 64)]
+
+    def sample(bc):
+        rng = np.random.default_rng([seed, bc[0]])
+        return _reference_level(rng, n, bc[1], p_g, p_s)
+
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        parts = list(pool.map(sample, blocks))
+    return np.concatenate(parts).astype(float)
+
+
+#: smallest p_s per nesting level that keeps the reference sampler small
+P_S_MIN = {0: 0.01, 1: 0.01, 2: 0.05, 3: 0.2, 4: 0.35}
 
 
 def cfg(L=320.0, n=3, bg=0.1, bs=0.3, hw=HW, geom=GeometryKind.MIDPOINT):
@@ -155,6 +190,76 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             simulate_waiting_time(1, 0.5, 1.0, 0, 0)
 
+    @pytest.mark.parametrize("n, p_s", [(40, 1.0), (10, 0.2), (5000, 1.0)])
+    def test_too_deep_chain_is_rejected(self, n, p_s):
+        # level k would hold 64 * (2/p_s)^(n-k) values: refuse, do not allocate
+        with pytest.raises(ValueError, match="too deep"):
+            simulate_waiting_time(n, 1.0, p_s, 0, 10)
+
     def test_p_one_is_deterministic_unit(self):
         samples = simulate_waiting_time(0, 1.0, 1.0, seed=0, trials=100)
         assert np.all(samples == 1.0)
+
+
+class TestStreamingSampler:
+    """The streaming sampler against the recursive reference, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 4),
+           p_g=st.one_of(st.floats(1e-3, 1 / 3, exclude_max=True),
+                         st.floats(1 / 3, 1.0),
+                         st.sampled_from([1e-19, 1 / 3, 1.0])),
+           trials=st.sampled_from([1, 63, 64, 65, 200]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           threads=st.sampled_from(["1", "2", "3", "7"]))
+    def test_identical_to_reference(self, data, n, p_g, trials, seed,
+                                    threads):
+        p_s = data.draw(st.floats(P_S_MIN[n], 1.0), label="p_s")
+        with mock.patch.dict(os.environ, RNPM_THREADS=threads):
+            got = simulate_waiting_time(n, p_g, p_s, seed, trials)
+            want = reference_waiting_time(n, p_g, p_s, seed, trials)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, p_g, p_s", [(1, 0.05, 1.0), (1, 0.5, 0.3),
+                                              (2, 0.2, 0.4), (3, 1.0, 0.6),
+                                              (3, 0.1, 0.5)])
+    def test_slots_straddle_chunk_edges(self, monkeypatch, n, p_g, p_s):
+        monkeypatch.setattr(chain, "_CHUNK", 8)
+        got = simulate_waiting_time(n, p_g, p_s, 17, 130)
+        assert got.tobytes() == \
+            reference_waiting_time(n, p_g, p_s, 17, 130).tobytes()
+
+    def test_clamped_draws(self):
+        # p_g = 1e-19 puts most level-0 draws past 2^63, where numpy returns
+        # INT64_MAX, and the int64 slot sums wrap
+        got = simulate_waiting_time(2, 1e-19, 0.5, 4, 70)
+        assert got.tobytes() == \
+            reference_waiting_time(2, 1e-19, 0.5, 4, 70).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(1e-6, 1 / 3, exclude_max=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_exponential_pair_max_is_numpy_geometric(self, p, seed):
+        # numpy draws geometric(p < 1/3) as ceil(-E / log1p(-p)); the
+        # streaming kernel relies on that form and on its draw order
+        geo = np.random.default_rng(seed)
+        exp = np.random.default_rng(seed)
+        g = geo.geometric(p, size=2000)
+        e = exp.standard_exponential(2000)
+        pm = np.ceil(np.maximum(e[0::2], e[1::2]) / -math.log1p(-p))
+        assert np.array_equal(np.maximum(g[0::2], g[1::2]),
+                              pm.astype(np.int64))
+        assert geo.bit_generator.state == exp.bit_generator.state
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in KiB on Linux only")
+    def test_deep_chain_peak_memory(self):
+        code = ("import resource\n"
+                "from rnpm.chain import simulate_waiting_time\n"
+                "simulate_waiting_time(6, 0.2, 0.2, 3, 128)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        env = dict(os.environ, RNPM_THREADS="1")
+        r = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+        peak_mb = int(r.stdout) / 1024
+        assert peak_mb < 600, f"peak RSS {peak_mb:.0f} MB"

@@ -103,6 +103,17 @@ class TestRepeater:
         assert rows and all(row["errors"] for row in rows)
         assert {row["direct_seconds"] for row in rows} == {"inf"}
 
+    def test_zero_efficiency_json_is_strict(self, tmp_path):
+        cfg = {"hardware": {"eta": 0.0}, "repeater": {"L_km": [100]}}
+        code, text = invoke(tmp_path, "repeater", cfg, "--format", "json")
+        assert code == 3
+
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rows = json.loads(text, parse_constant=no_constants)
+        assert rows and all(row["direct_seconds"] is None for row in rows)
+
 
 class TestDistill:
     def test_default_beta_grid(self, tmp_path):
@@ -117,6 +128,25 @@ class TestDistill:
         cfg = {"distill": {"F_grid": [0.5]}}
         code, _ = invoke(tmp_path, "distill", cfg)
         assert code == 0
+
+    def test_default_hardware_reports_every_fidelity(self, tmp_path):
+        code, text = invoke(tmp_path, "distill", {})
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert len(rows) == 63
+        assert all(float(row["P_s"]) > 0.0 and row["F_prime"] for row in rows)
+
+    def test_zero_efficiency_blanks_fidelity(self, tmp_path):
+        cfg = {"hardware": {"eta": 0.0}, "distill": {"F_grid": [0.6, 0.9]}}
+        code, text = invoke(tmp_path, "distill", cfg)
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert rows and all(row["P_s"] == "0.0" and row["F_prime"] == ""
+                            for row in rows)
+        code, text = invoke(tmp_path, "distill", cfg, "--format", "json")
+        assert code == 0
+        assert all(row["P_s"] == 0.0 and row["F_prime"] is None
+                   for row in json.loads(text))
 
 
 class TestMontecarlo:
@@ -188,6 +218,15 @@ class TestMontecarlo:
         cfg = {"montecarlo": {"n": -1, "p_g": 0.5, "trials": 10}}
         code, _ = invoke(tmp_path, "montecarlo", cfg)
         assert code == 2
+
+    def test_too_deep_chain_is_config_error(self, tmp_path, capsys):
+        cfg = {"montecarlo": {"mode": "waiting", "n": 40, "p_g": 1, "p_s": 1,
+                              "trials": 10}}
+        code, text = invoke(tmp_path, "montecarlo", cfg)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: chain too deep to sample")
 
     def test_trials_required(self, tmp_path):
         cfg = {"montecarlo": {"mode": "waiting", "n": 0, "p_g": 0.1}}
