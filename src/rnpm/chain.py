@@ -189,6 +189,9 @@ _CHUNK = 1 << 20  # level-0 pairs drawn at once by the streaming level-1 kernel
 #: log2 of the cap on one block's expected level-1 count: 2^26 is about 10x
 #: the n=6, p_s=0.2 chain, and the level-1 arrays are what fills memory
 _MAX_LEVEL1_LOG2 = 26
+#: log2 of the cap on one block's expected level-0 pair count, which sets
+#: the run time: the n=6, p_s=0.2 chain expects 2^24.9
+_MAX_LEVEL0_LOG2 = 28
 #: numpy draws geometric(p) by inversion below this p and by search above it
 _GEOMETRIC_SEARCH_P = 1.0 / 3.0
 _INT64_MAX = np.iinfo(np.int64).max
@@ -273,6 +276,23 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def check_chain_depth(n: int, p_s: float) -> None:
+    """Refuse a chain whose 64-trial block is too large to sample.
+
+    One block expects 64 (2/p_s)^(n-1) level-1 links, which bound memory,
+    and 64 2^(n-1) / p_s^n level-0 pairs, which bound time.
+    """
+    # in log2, so that a huge n cannot overflow the float power
+    level1_log2 = math.log2(_BLOCK) + (n - 1) * math.log2(2.0 / p_s)
+    level0_log2 = math.log2(_BLOCK) + (n - 1) - n * math.log2(p_s)
+    if level1_log2 > _MAX_LEVEL1_LOG2 or level0_log2 > _MAX_LEVEL0_LOG2:
+        raise ValueError(f"chain too deep to sample: one block of {_BLOCK} "
+                         f"trials expects 2^{level1_log2:.1f} level-1 links "
+                         f"and 2^{level0_log2:.1f} level-0 pairs, above the "
+                         f"limits of 2^{_MAX_LEVEL1_LOG2} and "
+                         f"2^{_MAX_LEVEL0_LOG2}")
+
+
 def simulate_waiting_time(n: int, p_g: float, p_s: float, seed: int,
                           trials: int) -> np.ndarray:
     """Samples of the total completion time of the chain, in units of l0/c.
@@ -289,12 +309,7 @@ def simulate_waiting_time(n: int, p_g: float, p_s: float, seed: int,
         raise ValueError("trials must be >= 1")
     if not (0.0 < p_g <= 1.0 and 0.0 < p_s <= 1.0):
         raise ValueError("success probabilities must lie in (0, 1]")
-    # in log2, so that a huge n cannot overflow the float power
-    level1_log2 = math.log2(_BLOCK) + (n - 1) * math.log2(2.0 / p_s)
-    if level1_log2 > _MAX_LEVEL1_LOG2:
-        raise ValueError(f"chain too deep to sample: one block of {_BLOCK} "
-                         f"trials expects 2^{level1_log2:.1f} level-1 links, "
-                         f"above the limit of 2^{_MAX_LEVEL1_LOG2}")
+    check_chain_depth(n, p_s)
     blocks = [(b, min(_BLOCK, trials - b * _BLOCK))
               for b in range((trials + _BLOCK - 1) // _BLOCK)]
     workers = min(worker_count(), len(blocks))

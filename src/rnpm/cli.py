@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import distill, optics, optimize
-from .chain import (GeometryKind, Hardware, ChainConfig,
+from .chain import (GeometryKind, Hardware, ChainConfig, check_chain_depth,
                     expected_max_geometric, generation_perf,
                     simulate_waiting_time, swap_perf, waiting_time_stats)
 from .formulas import (DetectorKind, DetectorModel, InteractionParams,
@@ -50,6 +50,15 @@ def _require(cond, msg):
 def _check_keys(block: dict, allowed: set[str], where: str):
     unknown = set(block) - allowed
     _require(not unknown, f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _number_list(block: dict, key: str, default: list, where: str) -> list[float]:
+    values = block.get(key, default)
+    _require(isinstance(values, list) and values
+             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                     for v in values),
+             f"{where}.{key} must be a nonempty list of numbers")
+    return [float(v) for v in values]
 
 
 def _parse_detector(name: str) -> DetectorKind:
@@ -175,16 +184,18 @@ def cmd_distill(config: dict, args) -> tuple[int, list[dict], list[str]]:
     hw = parse_hardware(config)
     block = config.get("distill", {})
     _check_keys(block, {"F_grid", "beta_sq"}, "distill")
-    F_grid = block.get("F_grid", [round(0.5 + 0.025 * i, 4) for i in range(21)])
-    beta_sq = block.get("beta_sq", DEFAULT_DISTILL_BETA_SQ)
+    F_grid = _number_list(block, "F_grid",
+                          [round(0.5 + 0.025 * i, 4) for i in range(21)],
+                          "distill")
+    beta_sq = _number_list(block, "beta_sq", DEFAULT_DISTILL_BETA_SQ, "distill")
     rows = []
     for b2 in beta_sq:
         for F in F_grid:
-            res = distill.recurrence_step(float(F), math.sqrt(float(b2)),
-                                          hw.tau, hw.detector)
+            res = distill.recurrence_step(F, math.sqrt(b2), hw.tau,
+                                          hw.detector)
             # no fidelity for a state that is never produced
             rows.append({
-                "F": float(F), "beta_sq": float(b2), "P_s": res.P_s,
+                "F": F, "beta_sq": b2, "P_s": res.P_s,
                 "F_prime": res.F_prime if res.P_s > 0.0 else None,
             })
     return 0, rows, ["F", "beta_sq", "P_s", "F_prime"]
@@ -202,6 +213,8 @@ def _mc_row(quantity: str, head: tuple, mean, se, predicted) -> dict:
 def _montecarlo_waiting(block: dict, hw: Hardware, geometry: GeometryKind,
                         seed: int, trials: int) -> list[dict]:
     n = int(block.get("n", 1))
+    # reject a chain that no p_s could sample before 2 ** n is formed
+    check_chain_depth(n, 1.0)
     L_km = float(block.get("L_km", 20.0 * 2 ** n))
     if "p_g" in block:
         p_g = float(block["p_g"])

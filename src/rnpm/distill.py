@@ -81,9 +81,12 @@ def recurrence_oracle(F: float, epsilon: float) -> RecurrenceResult:
                 continue
             Pb = gadgets.parity_projectors(1, 3, n)[0 if par_b == "even" else 1]
             sub = (Pa @ Pb) @ rho @ (Pb @ Pa)
-            # one phase-flip channel per party on its kept qubit
-            sub = gadgets.phase_flip_channel(sub, 0, epsilon)
-            sub = gadgets.phase_flip_channel(sub, 1, epsilon)
+            # one phase-flip channel per party on its kept qubit, as dense
+            # Z conjugations so that the gadgets' elementwise kernel is not
+            # shared with this oracle
+            for q in (0, 1):
+                zq = gadgets.op_on(gadgets.Z, q, n)
+                sub = (1.0 - epsilon) * sub + epsilon * (zq @ sub @ zq)
             # X-readout of the probe qubits with Z^x fix-ups on the kept ones
             for xa, ka in ((0, gadgets.KET_PLUS), (1, gadgets.KET_MINUS)):
                 for xb, kb in ((0, gadgets.KET_PLUS), (1, gadgets.KET_MINUS)):

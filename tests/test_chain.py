@@ -190,9 +190,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             simulate_waiting_time(1, 0.5, 1.0, 0, 0)
 
-    @pytest.mark.parametrize("n, p_s", [(40, 1.0), (10, 0.2), (5000, 1.0)])
+    @pytest.mark.parametrize("n, p_s", [(40, 1.0), (10, 0.2), (5000, 1.0),
+                                        (1, 1e-9)])
     def test_too_deep_chain_is_rejected(self, n, p_s):
-        # level k would hold 64 * (2/p_s)^(n-k) values: refuse, do not allocate
+        # level k would hold 64 * (2/p_s)^(n-k) values: refuse, do not
+        # allocate; (1, 1e-9) fits in memory but expects 2^35.9 level-0 pairs
         with pytest.raises(ValueError, match="too deep"):
             simulate_waiting_time(n, 1.0, p_s, 0, 10)
 

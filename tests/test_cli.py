@@ -148,6 +148,16 @@ class TestDistill:
         assert all(row["P_s"] == 0.0 and row["F_prime"] is None
                    for row in json.loads(text))
 
+    @pytest.mark.parametrize("block", [{"beta_sq": 5}, {"beta_sq": [None]},
+                                       {"F_grid": []}, {"F_grid": ["0.9"]},
+                                       {"F_grid": [True]}])
+    def test_non_numeric_grid_is_config_error(self, tmp_path, capsys, block):
+        code, text = invoke(tmp_path, "distill", {"distill": block})
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "must be a nonempty list of numbers" in err
+
 
 class TestMontecarlo:
     def test_waiting_mode(self, tmp_path):
@@ -220,13 +230,15 @@ class TestMontecarlo:
         assert code == 2
 
     def test_too_deep_chain_is_config_error(self, tmp_path, capsys):
-        cfg = {"montecarlo": {"mode": "waiting", "n": 40, "p_g": 1, "p_s": 1,
-                              "trials": 10}}
-        code, text = invoke(tmp_path, "montecarlo", cfg)
-        assert code == 2 and text == ""
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("config error: chain too deep to sample")
+        # n = 2000 with no L_km: the default 20 km * 2^n would overflow
+        for n in (40, 2000):
+            cfg = {"montecarlo": {"mode": "waiting", "n": n, "p_g": 1,
+                                  "p_s": 1, "trials": 10}}
+            code, text = invoke(tmp_path, "montecarlo", cfg)
+            assert code == 2 and text == ""
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("config error: chain too deep to sample")
 
     def test_trials_required(self, tmp_path):
         cfg = {"montecarlo": {"mode": "waiting", "n": 0, "p_g": 0.1}}

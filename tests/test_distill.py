@@ -14,11 +14,15 @@ from rnpm.gadgets import PHI_PLUS, fidelity_to
 DET = DetectorModel(DetectorKind.SINGLE_PHOTON, 0.95)
 
 
-def bbpssw_map(F):
-    """Ideal recurrence round on Werner input, closed form."""
-    num = F * F + ((1 - F) / 3) ** 2
-    den = F * F + 2 * F * (1 - F) / 3 + 5 * ((1 - F) / 3) ** 2
-    return den, num / den
+def bbpssw_map(F, eps=0.0):
+    """Recurrence round on Werner input, closed form: (P_rec, F').
+
+    Each party's probe phase flip becomes a Z on its kept qubit, so the kept
+    pair flips phi+ <-> phi- with probability q = 2 eps (1 - eps).
+    """
+    r, q = (1 - F) / 3, 2 * eps * (1 - eps)
+    P = (F + r) ** 2 + 4 * r * r
+    return P, ((1 - q) * (F * F + r * r) + 2 * q * F * r) / P
 
 
 class TestWerner:
@@ -71,6 +75,16 @@ class TestGadgetEquivalence:
         b = recurrence_via_gadgets(F, eps)
         assert a.P_s == pytest.approx(b.P_s, abs=1e-12)
         assert a.F_prime == pytest.approx(b.F_prime, abs=1e-12)
+
+
+class TestNoisyClosedForm:
+    @settings(max_examples=40, deadline=None)
+    @given(F=st.floats(0.25, 1.0), eps=st.floats(0.0, 0.5))
+    def test_both_paths_match_closed_form(self, F, eps):
+        P_ref, F_ref = bbpssw_map(F, eps)
+        for res in (recurrence_oracle(F, eps), recurrence_via_gadgets(F, eps)):
+            assert res.P_s == pytest.approx(P_ref, abs=1e-12)
+            assert res.F_prime == pytest.approx(F_ref, abs=1e-12)
 
 
 class TestNoisyRound:

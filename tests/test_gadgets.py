@@ -1,7 +1,10 @@
 """Density-matrix gadgets: swapping, parity checks, cluster growth."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rnpm import gadgets
 from rnpm.gadgets import (BELL_VECTORS, KET0, KET_PLUS, PHI_PLUS,
@@ -126,6 +129,116 @@ class TestParityCheck:
         outs = parity_check(rho, (0, 2), epsilon=0.0)
         for o in outs:
             assert o.state.shape == (8, 8)
+
+
+def dense_parity_part(rho, i, j, parity):
+    n = num_qubits(rho)
+    P = parity_projectors(i, j, n)[0 if parity == "even" else 1]
+    return P @ rho @ P
+
+
+def dense_phase_flip(rho, qubit, eps):
+    zq = op_on(gadgets.Z, qubit, num_qubits(rho))
+    return (1.0 - eps) * rho + eps * (zq @ rho @ zq)
+
+
+def dense_normalize(rho, w):
+    rho = rho / w
+    return 0.5 * (rho + rho.conj().T)
+
+
+def dense_rnpm_channel(rho, qubits, p, eps):
+    i, j = qubits
+    outs = []
+    for name in ("even", "odd"):
+        sub = dense_parity_part(rho, i, j, name)
+        w = float(np.trace(sub).real)
+        state = None
+        if w > 1e-300:
+            state = dense_phase_flip(dense_normalize(sub, w), j, eps)
+        outs.append(((name,), p * w, state))
+    return outs + [(("fail",), 1.0 - p, None)]
+
+
+def dense_bell_measurement(rho, qubits, eps):
+    n = num_qubits(rho)
+    i, j = qubits
+    outs = []
+    for parity in ("even", "odd"):
+        sub = dense_parity_part(rho, i, j, parity)
+        if float(np.trace(sub).real) <= 1e-300:
+            continue
+        sub = dense_phase_flip(sub, j, eps)
+        U = op_on(gadgets.H, i, n) @ op_on(gadgets.H, j, n)
+        sub = U @ sub @ U.conj().T
+        for a, b in itertools.product((0, 1), repeat=2):
+            _, s1 = project(sub, (gadgets.KET0, gadgets.KET1)[a], i)
+            _, s2 = project(s1, (gadgets.KET0, gadgets.KET1)[b], j)
+            post = ptrace_remove(s2, (i, j))
+            w = float(np.trace(post).real)
+            state = dense_normalize(post, w) if w > 1e-300 else None
+            outs.append(((parity, a, b), w, state))
+    return outs
+
+
+def dense_parity_check(rho, qubits, eps):
+    n = num_qubits(rho)
+    a1, a2 = qubits
+    outs = []
+    for parity in ("even", "odd"):
+        sub = dense_parity_part(rho, a1, a2, parity)
+        if float(np.trace(sub).real) <= 1e-300:
+            continue
+        sub = dense_phase_flip(sub, a2, eps)
+        for x, kx in ((0, gadgets.KET_PLUS), (1, gadgets.KET_MINUS)):
+            w, s = project(sub, kx, a2)
+            post = ptrace_remove(s, (a2,))
+            if w <= 1e-300:
+                continue
+            if x == 1:
+                zc = op_on(gadgets.Z, a1 if a1 < a2 else a1 - 1, n - 1)
+                post = zc @ post @ zc
+            outs.append(((parity, x), w, dense_normalize(post, w)))
+    return outs
+
+
+def assert_outcomes_equal(got, want):
+    assert [o.label for o in got] == [w[0] for w in want]
+    for o, (_, prob, state) in zip(got, want):
+        assert o.probability == prob
+        if state is None:
+            assert o.state is None
+        else:
+            assert np.array_equal(o.state, state)
+
+
+class TestElementwiseKernels:
+    """The sign-vector kernels against the dense P rho P / Z rho Z forms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([3, 4]), seed=st.integers(0, 2 ** 32 - 1),
+           eps=st.floats(0.0, 0.5), p=st.floats(0.0, 1.0))
+    def test_bit_identical_to_dense(self, n, seed, eps, p):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        for q in range(n):
+            assert np.array_equal(phase_flip_channel(rho, q, eps),
+                                  dense_phase_flip(rho, q, eps))
+        for pair in itertools.permutations(range(n), 2):
+            assert_outcomes_equal(rnpm_channel(rho, pair, p, eps),
+                                  dense_rnpm_channel(rho, pair, p, eps))
+            assert_outcomes_equal(bell_measurement(rho, pair, eps),
+                                  dense_bell_measurement(rho, pair, eps))
+            assert_outcomes_equal(parity_check(rho, pair, eps),
+                                  dense_parity_check(rho, pair, eps))
+
+    def test_kron_equals_numpy(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        b = rng.normal(size=(4, 2))
+        assert np.array_equal(kron(a, b), np.kron(np.kron([[1.0 + 0j]], a), b))
 
 
 class TestCluster:
