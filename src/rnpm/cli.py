@@ -27,8 +27,8 @@ from .chain import (GeometryKind, Hardware, ChainConfig, check_chain_depth,
                     expected_max_geometric, generation_perf,
                     simulate_waiting_time, swap_perf, waiting_time_stats)
 from .formulas import (DetectorKind, DetectorModel, InteractionParams,
-                       LinkGeometry, link_transmittance, performance,
-                       performance_oracle)
+                       LinkGeometry, TruncationError, link_transmittance,
+                       performance, performance_oracle)
 
 DEFAULT_HARDWARE = {
     "tau": 0.98, "eta": 0.95, "detector": "single_photon",
@@ -52,13 +52,39 @@ def _check_keys(block: dict, allowed: set[str], where: str):
     _require(not unknown, f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _block(config: dict, name: str, allowed: set[str]) -> dict:
+    block = config.get(name, {})
+    _require(isinstance(block, dict), f"{name} must be an object")
+    _check_keys(block, allowed, name)
+    return block
+
+
+def _is_number(v) -> bool:
+    """A JSON number that converts to a float: no bool, no huge integer."""
+    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                    and abs(v) <= sys.float_info.max)
+
+
 def _number_list(block: dict, key: str, default: list, where: str) -> list[float]:
     values = block.get(key, default)
     _require(isinstance(values, list) and values
-             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                     for v in values),
+             and all(_is_number(v) for v in values),
              f"{where}.{key} must be a nonempty list of numbers")
     return [float(v) for v in values]
+
+
+def _detector_list(block: dict, where: str) -> list[DetectorKind]:
+    names = block.get("detectors", [])
+    _require(isinstance(names, list) and all(isinstance(d, str) for d in names),
+             f"{where}.detectors must be a list of detector names")
+    return [_parse_detector(d) for d in names]
+
+
+def _integer(block: dict, key: str, default: int, where: str) -> int:
+    value = block.get(key, default)
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{where}.{key} must be an integer")
+    return value
 
 
 def _parse_detector(name: str) -> DetectorKind:
@@ -70,21 +96,29 @@ def _parse_detector(name: str) -> DetectorKind:
             f"{[k.value for k in DetectorKind]}") from None
 
 
+#: (hardware field, rule, test) for the numeric hardware fields
+HARDWARE_RANGES = (
+    ("tau", "a number in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    ("eta", "a number in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+    ("L_att_km", "a finite number > 0", lambda x: 0.0 < x < math.inf),
+    ("c_m_per_s", "a finite number > 0", lambda x: 0.0 < x < math.inf),
+    ("f_hz", "a finite number > 0", lambda x: 0.0 < x < math.inf),
+)
+
+
 def parse_hardware(config: dict) -> Hardware:
     block = dict(DEFAULT_HARDWARE)
-    user = config.get("hardware", {})
-    _require(isinstance(user, dict), "hardware must be an object")
-    _check_keys(user, set(DEFAULT_HARDWARE), "hardware")
-    block.update(user)
+    block.update(_block(config, "hardware", set(DEFAULT_HARDWARE)))
+    for key, rule, ok in HARDWARE_RANGES:
+        _require(_is_number(block[key]) and ok(block[key]),
+                 f"hardware.{key} must be {rule}")
     det = DetectorModel(_parse_detector(block["detector"]), float(block["eta"]))
     return Hardware(float(block["tau"]), det, float(block["L_att_km"]),
                     float(block["c_m_per_s"]), float(block["f_hz"]))
 
 
 def parse_geometry(config: dict) -> GeometryKind:
-    block = config.get("geometry", {"kind": "midpoint"})
-    _require(isinstance(block, dict), "geometry must be an object")
-    _check_keys(block, {"kind"}, "geometry")
+    block = _block(config, "geometry", {"kind"})
     try:
         return GeometryKind(block.get("kind", "midpoint"))
     except ValueError:
@@ -119,15 +153,13 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
 
 def cmd_perf(config: dict, args) -> tuple[int, list[dict], list[str]]:
     hw = parse_hardware(config)
-    block = config.get("perf", {})
-    _check_keys(block, {"beta_sq", "L_A_km", "L_B_km", "detectors"}, "perf")
+    block = _block(config, "perf", {"beta_sq", "L_A_km", "L_B_km", "detectors"})
     beta_sq = block.get("beta_sq", [0.04])
     _require(isinstance(beta_sq, list) and beta_sq, "perf.beta_sq must be a nonempty list")
     geom = LinkGeometry(float(block.get("L_A_km", 0.0)),
                         float(block.get("L_B_km", 0.0)), hw.L_att_km, hw.tau)
     T_A, T_B = link_transmittance(geom)
-    kinds = [_parse_detector(d) for d in block.get("detectors", [])] or \
-        [hw.detector.kind]
+    kinds = _detector_list(block, "perf") or [hw.detector.kind]
     rows = []
     for kind in kinds:
         det = DetectorModel(kind, hw.detector.efficiency)
@@ -150,16 +182,12 @@ def cmd_perf(config: dict, args) -> tuple[int, list[dict], list[str]]:
 def cmd_repeater(config: dict, args) -> tuple[int, list[dict], list[str]]:
     hw = parse_hardware(config)
     geometry = parse_geometry(config)
-    block = config.get("repeater", {})
-    _check_keys(block, {"L_km", "F_targets", "detectors"}, "repeater")
-    L_grid = block.get("L_km", [])
-    _require(isinstance(L_grid, list) and L_grid, "repeater.L_km must be a nonempty list")
-    F_targets = block.get("F_targets", [0.9, 0.7])
-    detectors = tuple(_parse_detector(d) for d in block.get("detectors", [])) \
-        or (hw.detector.kind,)
-    spec = optimize.SweepSpec(tuple(float(L) for L in L_grid),
-                              tuple(float(F) for F in F_targets),
-                              hw, geometry, detectors)
+    block = _block(config, "repeater", {"L_km", "F_targets", "detectors"})
+    L_grid = _number_list(block, "L_km", [], "repeater")
+    F_targets = _number_list(block, "F_targets", [0.9, 0.7], "repeater")
+    detectors = tuple(_detector_list(block, "repeater")) or (hw.detector.kind,)
+    spec = optimize.SweepSpec(tuple(L_grid), tuple(F_targets), hw, geometry,
+                              detectors)
     recs = optimize.sweep(spec)
     rows = []
     for r in recs:
@@ -173,6 +201,7 @@ def cmd_repeater(config: dict, args) -> tuple[int, list[dict], list[str]]:
             "F": r.F_achieved if r.feasible else "",
             "direct_seconds": r.direct_seconds,
             "errors": "" if r.feasible else (r.message or "infeasible"),
+            "extras": r.extras,  # JSON only: not a CSV column
         })
     cols = ["L_km", "F_target", "detector", "geometry", "n_opt", "beta_g_sq",
             "beta_s_sq", "T_seconds", "F", "direct_seconds", "errors"]
@@ -182,8 +211,7 @@ def cmd_repeater(config: dict, args) -> tuple[int, list[dict], list[str]]:
 
 def cmd_distill(config: dict, args) -> tuple[int, list[dict], list[str]]:
     hw = parse_hardware(config)
-    block = config.get("distill", {})
-    _check_keys(block, {"F_grid", "beta_sq"}, "distill")
+    block = _block(config, "distill", {"F_grid", "beta_sq"})
     F_grid = _number_list(block, "F_grid",
                           [round(0.5 + 0.025 * i, 4) for i in range(21)],
                           "distill")
@@ -212,7 +240,7 @@ def _mc_row(quantity: str, head: tuple, mean, se, predicted) -> dict:
 
 def _montecarlo_waiting(block: dict, hw: Hardware, geometry: GeometryKind,
                         seed: int, trials: int) -> list[dict]:
-    n = int(block.get("n", 1))
+    n = _integer(block, "n", 1, "montecarlo")
     # reject a chain that no p_s could sample before 2 ** n is formed
     check_chain_depth(n, 1.0)
     L_km = float(block.get("L_km", 20.0 * 2 ** n))
@@ -281,14 +309,14 @@ def _montecarlo_rnpm(block: dict, hw: Hardware, seed: int,
 def cmd_montecarlo(config: dict, args) -> tuple[int, list[dict], list[str]]:
     hw = parse_hardware(config)
     geometry = parse_geometry(config)
-    block = config.get("montecarlo", {})
-    _check_keys(block, {"mode", "n", "L_km", "p_g", "p_s", "beta_g_sq",
-                        "beta_s_sq", "beta_sq", "L_A_km", "L_B_km",
-                        "trials", "seed"}, "montecarlo")
-    trials = int(args.trials if args.trials is not None
-                 else block.get("trials", 0))
+    block = _block(config, "montecarlo", {
+        "mode", "n", "L_km", "p_g", "p_s", "beta_g_sq", "beta_s_sq", "beta_sq",
+        "L_A_km", "L_B_km", "trials", "seed"})
+    trials = (args.trials if args.trials is not None
+              else _integer(block, "trials", 0, "montecarlo"))
     _require(trials > 0, "montecarlo requires trials > 0")
-    seed = int(args.seed if args.seed is not None else block.get("seed", 0))
+    seed = (args.seed if args.seed is not None
+            else _integer(block, "seed", 0, "montecarlo"))
     mode = block.get("mode", "waiting")
     _require(mode in ("waiting", "rnpm"), f"unknown montecarlo mode {mode!r}")
     if mode == "waiting":
@@ -300,9 +328,8 @@ def cmd_montecarlo(config: dict, args) -> tuple[int, list[dict], list[str]]:
 
 def cmd_optics(config: dict, args, out) -> int:
     hw = parse_hardware(config)
-    block = config.get("optics", {})
-    _check_keys(block, {"beta_sq", "alpha", "theta", "L_A_km", "L_B_km",
-                        "variant", "initial_state"}, "optics")
+    block = _block(config, "optics", {"beta_sq", "alpha", "theta", "L_A_km",
+                                      "L_B_km", "variant", "initial_state"})
     geom = LinkGeometry(float(block.get("L_A_km", 0.0)),
                         float(block.get("L_B_km", 0.0)), hw.L_att_km, hw.tau)
     if "alpha" in block or "theta" in block:
@@ -374,10 +401,7 @@ def run(argv: list[str], stdout=None) -> int:
                        "montecarlo": cmd_montecarlo}[args.command]
             code, rows, cols = handler(config, args)
             _emit(rows, cols, args.format, buf)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, TruncationError) as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -219,7 +219,7 @@ def chi(l: int, sign: int, params: InteractionParams, T_A: float, T_B: float,
     return front * math.exp(-2.0 * b2 * (1.0 / T_A + 1.0 / T_B - eta))
 
 
-def _epsilon_rate(detector: DetectorModel, T_A: float, T_B: float) -> float:
+def epsilon_rate(detector: DetectorModel, T_A: float, T_B: float) -> float:
     """c in eps = -expm1(-2 beta^2 c)/2; 1/(eta T) >= 1 keeps it nonnegative."""
     eta = detector.efficiency
     _check_transmittances(T_A, T_B, eta)
@@ -233,25 +233,12 @@ def performance(detector: DetectorModel, params: InteractionParams,
     """Closed-form (p, epsilon) of one attempt for the given detector type."""
     eta = detector.efficiency
     b2 = params.beta ** 2
-    eps = -0.5 * math.expm1(-2.0 * b2 * _epsilon_rate(detector, T_A, T_B))
+    eps = -0.5 * math.expm1(-2.0 * b2 * epsilon_rate(detector, T_A, T_B))
     if detector.kind is DetectorKind.SINGLE_PHOTON:
         p = 2.0 * b2 * eta * math.exp(-2.0 * b2 * eta)
     else:
         p = -math.expm1(-2.0 * b2 * eta)
     return PerfPoint(p=p, epsilon=eps)
-
-
-def beta_sq_for_epsilon(detector: DetectorModel, epsilon: float,
-                        T_A: float, T_B: float) -> float:
-    """beta^2 at which ``performance`` gives phase error ``epsilon``.
-
-    The inverse of eps(beta^2).  Returns inf when eps never reaches
-    ``epsilon``: c <= 0 (lossless arms, unit efficiency) or epsilon >= 1/2.
-    """
-    c = _epsilon_rate(detector, T_A, T_B)
-    if c <= 0.0 or epsilon >= 0.5:
-        return math.inf
-    return -math.log1p(-2.0 * epsilon) / (2.0 * c)
 
 
 def k_max_for(lam: float, tail: float = 1e-12, cap: int = 200) -> int:

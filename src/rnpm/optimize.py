@@ -1,10 +1,9 @@
 """Minimize total communication time at fixed final fidelity.
 
-For each nesting level n the fidelity constraint ties the generation
-amplitude to the swap amplitude, leaving a one-dimensional minimization over
-beta_s^2 which is solved by a coarse log-grid scan refined with golden
-section search; beta_g^2 follows from the constraint through the closed-form
-inverse of the generation phase error.
+For each nesting level n the fidelity constraint fixes the generation
+amplitude beta_g^2 in closed form given the swap amplitude, leaving a
+one-dimensional minimization over beta_s^2.  It is solved for every n at
+once, as numpy arrays: a coarse log-grid scan, then golden-section search.
 """
 
 from __future__ import annotations
@@ -15,15 +14,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import (ChainConfig, GeometryKind, Hardware, chain_closed_form,
-                    direct_transmission_time, generation_perf,
-                    generation_transmittances, swap_perf)
-from .formulas import DetectorKind, beta_sq_for_epsilon
+                    direct_transmission_time, generation_transmittances)
+from .chain import generation_perf  # noqa: F401  (kept importable here)
+from .formulas import DetectorKind, DetectorModel, epsilon_rate
 
 N_MAX = 20
 BETA_SQ_LO = 1e-6
 BETA_SQ_HI = 2.0
 GOLDEN_REL_TOL = 1e-4     # relative tolerance in T
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LOG_WIDTH = 1e-3         # golden-section stop in ln beta_s^2; resolves T
+                          # well below GOLDEN_REL_TOL
+_GRID = np.logspace(math.log10(BETA_SQ_LO), math.log10(BETA_SQ_HI), 48)
+_LOG_GRID = np.log(_GRID)
 
 
 @dataclass(frozen=True)
@@ -60,122 +63,115 @@ class OptimumRecord:
     extras: dict = field(default_factory=dict)
 
 
-def _beta_g_candidates(eps_allowed: float, hardware: Hardware, l0_km: float,
-                       geometry: GeometryKind) -> float | None:
-    """Largest useful beta_g^2 with eps0 <= eps_allowed."""
-    if eps_allowed <= 0.0:
-        return None
-    T_A, T_B = generation_transmittances(hardware, l0_km, geometry)
-    bound = min(beta_sq_for_epsilon(hardware.detector, eps_allowed, T_A, T_B),
-                BETA_SQ_HI)
-    if bound <= 0.0:
-        return None
-    eta = hardware.detector.efficiency
-    if hardware.detector.kind is DetectorKind.SINGLE_PHOTON and eta > 0.0:
-        # p peaks at beta^2 = 1/(2 eta); pushing beta past the peak only hurts
-        bound = min(bound, 1.0 / (2.0 * eta))
-    return bound
+def _success(kind: DetectorKind, eta: float, beta_sq):
+    """Success probability p of ``performance``, on arrays of beta^2."""
+    x = 2.0 * eta * beta_sq
+    return x * np.exp(-x) if kind is DetectorKind.SINGLE_PHOTON else -np.expm1(-x)
 
 
-def _time_for(n: int, L_km: float, F_target: float, hardware: Hardware,
-              geometry: GeometryKind, beta_s_sq: float):
-    """T (seconds) and the matching beta_g^2, or None when infeasible."""
-    l0 = L_km / 2 ** n
-    N = 2 ** n
-    target = 2.0 * F_target - 1.0
-    if target <= 0.0:
-        target = 1e-15
-    if n == 0:
-        ratio = target
-        p_s = 1.0
-    else:
-        p_s, eps_s = swap_perf(math.sqrt(beta_s_sq), hardware)
-        denom = (1.0 - 2.0 * eps_s) ** (N - 1)
-        if denom <= 0.0 or p_s <= 0.0:
-            return None
-        ratio = target / denom
-        if ratio >= 1.0:
-            return None
-    eps_allowed = 0.5 * (1.0 - ratio ** (1.0 / N))
-    bg2 = _beta_g_candidates(eps_allowed, hardware, l0, geometry)
-    if bg2 is None:
-        return None
-    p_g, _ = generation_perf(math.sqrt(bg2), hardware, l0, geometry)
-    if p_g <= 0.0:
-        return None
-    T = (l0 * 1e3 / hardware.c_m_per_s) * 1.5 ** n / (p_g * p_s ** n)
-    return T, bg2
+def _success_peak(det: DetectorModel) -> float:
+    """beta^2 of the single-photon success peak 1/(2 eta); inf otherwise."""
+    if det.kind is DetectorKind.SINGLE_PHOTON and det.efficiency > 0.0:
+        return 1.0 / (2.0 * det.efficiency)
+    return math.inf
 
 
-def _golden_refine(fun, a: float, b: float) -> tuple[float, float]:
-    """Golden-section minimization of fun over [a, b] (log beta_s^2 axis)."""
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
+def time_kernel(ns, L_km: float, F_target: float, hardware: Hardware,
+                geometry: GeometryKind):
+    """T(beta_s^2) of the chains of nesting levels ``ns`` at fidelity F_target.
+
+    Returns ``T_of(beta_s_sq) -> (T, beta_g_sq)`` on arrays that broadcast
+    against ``ns``; T is inf where F_target is out of reach.  With
+    1 - 2 eps = exp(-2 beta^2 c) for both steps, the constraint
+    (1 - 2 eps_0)^N (1 - 2 eps_s)^(N-1) = 2 F_target - 1, N = 2^n, gives
+    beta_g^2 = -ln(ratio) / (2 c_g N) with
+    ln(ratio) = ln(2 F_target - 1) + 2 (N - 1) c_s beta_s^2, capped at
+    BETA_SQ_HI and, for single-photon detectors, at the success peak
+    1/(2 eta), past which beta_g only hurts.
+    """
+    n = np.asarray(ns)
+    N = 2.0 ** n
+    det = hardware.detector
+    eta = det.efficiency
+    c_s = epsilon_rate(det, hardware.tau, hardware.tau)
+    c_g = np.reshape([epsilon_rate(det, *generation_transmittances(
+        hardware, L_km / m, geometry)) for m in N.ravel()], N.shape)
+    cap = min(BETA_SQ_HI, _success_peak(det))
+    log_target = math.log(max(2.0 * F_target - 1.0, 1e-15))
+    t_unit = L_km / N * 1e3 / hardware.c_m_per_s * 1.5 ** n
+
+    def T_of(beta_s_sq):
+        log_ratio = log_target + 2.0 * (N - 1.0) * c_s * beta_s_sq
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bg2 = np.minimum(-log_ratio / (2.0 * c_g * N), cap)
+            T = t_unit / (_success(det.kind, eta, bg2)
+                          * _success(det.kind, eta, beta_s_sq) ** n)
+        return np.where(log_ratio < 0.0, T, math.inf), bg2
+
+    return T_of
+
+
+def _golden(fun, a: np.ndarray, b: np.ndarray):
+    """Golden-section minimum of ``fun`` in every lane's [a, b] at once.
+
+    The bracket shrinks by 1/phi per step whatever the values, so a lane's
+    step count is fixed by its initial width; it stops below _LOG_WIDTH.
+    Returns (x, steps).
+    """
+    c, d = b - (b - a) * _INV_PHI, a + (b - a) * _INV_PHI
     fc, fd = fun(c), fun(d)
-    for _ in range(200):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_PHI
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_PHI
-            fd = fun(d)
-        fbest = min(fc, fd)
-        if math.isfinite(fbest) and (b - a) < 1e-3:
-            # log-axis width 1e-3 resolves T to well below GOLDEN_REL_TOL
-            break
-    x = c if fc < fd else d
-    return x, min(fc, fd)
+    steps = np.zeros(np.shape(a), dtype=int)
+    while (live := b - a >= _LOG_WIDTH).any():
+        left, right = live & (fc < fd), live & ~(fc < fd)
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        x = np.where(left, b - (b - a) * _INV_PHI, a + (b - a) * _INV_PHI)
+        fx = fun(x)
+        c, d = np.where(left, x, np.where(right, d, c)), \
+            np.where(left, c, np.where(right, x, d))
+        fc, fd = np.where(left, fx, np.where(right, fd, fc)), \
+            np.where(left, fc, np.where(right, fx, fd))
+        steps += live
+    return np.where(fc < fd, c, d), steps
 
 
 def optimize_chain(L_km: float, F_target: float, hardware: Hardware,
                    geometry: GeometryKind = GeometryKind.MIDPOINT,
                    n_max: int = N_MAX) -> OptimumRecord:
-    """Best (n, beta_g, beta_s) subject to F >= F_target; deterministic."""
+    """Best (n, beta_g, beta_s) subject to F >= F_target; deterministic.
+
+    All n = 0..n_max are scanned on the log beta_s^2 grid and refined by
+    golden section together.  T and F are those of
+    ``chain_closed_form`` at the optimum.
+    """
     rec = OptimumRecord(L_km=L_km, F_target=F_target,
                         detector=hardware.detector.kind, geometry=geometry,
                         feasible=False, message="infeasible")
     rec.direct_seconds = direct_transmission_time(
         L_km, hardware.f_hz, hardware.detector.efficiency, hardware.L_att_km)
-    for n in range(0, n_max + 1):
-        if n == 0:
-            got = _time_for(0, L_km, F_target, hardware, geometry, 0.0)
-            if got is None:
-                continue
-            T, bg2 = got
-            bs2 = 0.0
-        else:
-            grid = np.logspace(math.log10(BETA_SQ_LO), math.log10(BETA_SQ_HI), 48)
-            vals = []
-            for b2 in grid:
-                got = _time_for(n, L_km, F_target, hardware, geometry, b2)
-                vals.append(math.inf if got is None else got[0])
-            best_i = int(np.argmin(vals))
-            if not math.isfinite(vals[best_i]):
-                continue
-            lo = math.log(grid[max(best_i - 1, 0)])
-            hi = math.log(grid[min(best_i + 1, len(grid) - 1)])
-
-            def fun(x):
-                got = _time_for(n, L_km, F_target, hardware, geometry,
-                                math.exp(x))
-                return math.inf if got is None else got[0]
-
-            x, T = _golden_refine(fun, lo, hi)
-            if not math.isfinite(T):
-                continue
-            bs2 = math.exp(x)
-            T, bg2 = _time_for(n, L_km, F_target, hardware, geometry, bs2)
-        if T < rec.T_seconds:
-            rec.feasible = True
-            rec.message = ""
-            rec.n, rec.beta_g_sq, rec.beta_s_sq, rec.T_seconds = n, bg2, bs2, T
-    if rec.feasible:
-        cfg = ChainConfig(L_km, rec.n, math.sqrt(rec.beta_g_sq),
-                          math.sqrt(rec.beta_s_sq) if rec.n else 0.0,
-                          hardware, geometry)
-        rec.F_achieved = chain_closed_form(cfg).F
+    T_of = time_kernel(np.arange(n_max + 1)[:, None], L_km, F_target,
+                       hardware, geometry)
+    i = T_of(_GRID)[0].argmin(axis=1)[:, None]
+    x, steps = _golden(lambda x: T_of(np.exp(x))[0],
+                       _LOG_GRID[np.maximum(i - 1, 0)],
+                       _LOG_GRID[np.minimum(i + 1, len(_GRID) - 1)])
+    bs2 = np.exp(x)
+    bs2[0] = 0.0  # n = 0 has no swap; its T does not depend on beta_s^2
+    T, bg2 = T_of(bs2)
+    n = int(T.argmin())
+    rec.extras["feasible_n"] = np.flatnonzero(np.isfinite(T[:, 0])).tolist()
+    if not math.isfinite(T[n, 0]):
+        return rec
+    bg2, bs2 = float(bg2[n, 0]), float(bs2[n, 0])
+    res = chain_closed_form(ChainConfig(L_km, n, math.sqrt(bg2),
+                                        math.sqrt(bs2), hardware, geometry))
+    rec.feasible, rec.message = True, ""
+    rec.n, rec.beta_g_sq, rec.beta_s_sq = n, bg2, bs2
+    rec.T_seconds, rec.F_achieved = res.T_avg, res.F
+    rec.extras.update(
+        n_at_max=n == n_max, beta_g_sq_at_hi=bg2 == BETA_SQ_HI,
+        beta_g_sq_at_peak=bg2 == _success_peak(hardware.detector),
+        beta_s_sq_at_grid_edge=bool(n and i[n, 0] in (0, len(_GRID) - 1)),
+        refine_steps=int(steps[n, 0]) if n else 0)
     return rec
 
 

@@ -114,6 +114,36 @@ class TestRepeater:
         rows = json.loads(text, parse_constant=no_constants)
         assert rows and all(row["direct_seconds"] is None for row in rows)
 
+    def test_json_extras(self, tmp_path):
+        cfg = {"repeater": {"L_km": [100, 600], "F_targets": [0.9, 1.0]}}
+        code, text = invoke(tmp_path, "repeater", cfg, "--format", "json")
+        assert code == 0
+        rows = json.loads(text)
+        assert [row["n_opt"] for row in rows] == [0, "", 2, ""]
+        for row in rows:
+            extras = row["extras"]
+            if row["n_opt"] == "":
+                assert extras == {"feasible_n": []}
+                continue
+            assert row["n_opt"] in extras["feasible_n"]
+            assert extras["n_at_max"] is False
+            assert extras["beta_g_sq_at_hi"] is False
+            assert extras["beta_g_sq_at_peak"] is False
+            assert extras["beta_s_sq_at_grid_edge"] is False
+            # n = 0 has no swap to refine; an interior bracket of two grid
+            # steps needs 14 golden-section steps to fall below 1e-3
+            assert extras["refine_steps"] == (14 if row["n_opt"] else 0)
+        code, text = invoke(tmp_path, "repeater", cfg)
+        assert parse_csv(text)[0] == REPEATER_COLS
+
+    @pytest.mark.parametrize("block", [
+        [], {"L_km": [100], "F_targets": 5}, {"L_km": [100], "detectors": 5},
+        {"L_km": [100], "F_targets": [None]}, {"L_km": [None]}])
+    def test_bad_block_is_config_error(self, tmp_path, capsys, block):
+        code, text = invoke(tmp_path, "repeater", {"repeater": block})
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestDistill:
     def test_default_beta_grid(self, tmp_path):
@@ -295,6 +325,35 @@ class TestConfigHandling:
     def test_unknown_detector(self, tmp_path):
         code, _ = invoke(tmp_path, "perf", {"hardware": {"detector": "psychic"}})
         assert code == 2
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("distill", {"hardware": {"tau": None}}),
+        ("perf", {"hardware": {"tau": 0}}),
+        ("perf", {"hardware": {"eta": True}}),
+        ("perf", {"hardware": {"eta": 1.5}}),
+        ("perf", {"hardware": {"f_hz": "1e10"}}),
+        ("perf", {"hardware": {"f_hz": 10 ** 400}}),
+        ("repeater", {"hardware": {"L_att_km": 0}, "repeater": {"L_km": [100]}}),
+        ("repeater", {"hardware": {"c_m_per_s": 0},
+                      "repeater": {"L_km": [100]}}),
+        ("montecarlo", {"montecarlo": {"n": None, "p_g": 0.5, "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"n": 1.5, "p_g": 0.5, "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"n": 1, "p_g": 0.5, "trials": 10.0}}),
+        ("montecarlo", {"montecarlo": {"n": 1, "p_g": 0.5, "trials": 10,
+                                       "seed": True}}),
+        ("optics", {"optics": []}),
+    ])
+    def test_bad_scalar_is_config_error(self, tmp_path, capsys, command, cfg):
+        code, text = invoke(tmp_path, command, cfg)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+
+    def test_truncation_is_config_error(self, tmp_path, capsys):
+        code, text = invoke(tmp_path, "perf", {"perf": {"beta_sq": [1e6]}})
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "k_max" in err
 
     def test_missing_config_file(self):
         out = io.StringIO()

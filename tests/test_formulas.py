@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rnpm.formulas import _q_table
 from rnpm.formulas import (DetectorKind, DetectorModel, InteractionParams,
                            LinkGeometry, PerfPoint, TruncationError,
-                           beta_sq_for_epsilon, binomial_pmf, chi, k_max_for,
+                           binomial_pmf, chi, k_max_for,
                            link_transmittance, performance,
                            performance_for_geometry,
                            performance_oracle, poisson_cutoff, poisson_pmf,
@@ -136,30 +136,6 @@ class TestClosedForms:
         direct = performance(det, par, T_A, T_B)
         viag = performance_for_geometry(det, par, g)
         assert viag == direct
-
-
-class TestEpsilonInverse:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    @settings(max_examples=200, deadline=None)
-    @given(eps=st.floats(1e-12, 0.5, exclude_max=True),
-           T_A=st.floats(1e-12, 1.0), T_B=st.floats(1e-12, 1.0),
-           eta=st.floats(0.0, 1.0))
-    def test_round_trip(self, kind, eps, T_A, T_B, eta):
-        det = DetectorModel(kind, eta)
-        b2 = beta_sq_for_epsilon(det, eps, T_A, T_B)
-        if not math.isfinite(b2):
-            # only the c <= 0 corner (unit transmittances and efficiency)
-            assert kind is not DetectorKind.THRESHOLD
-            assert 1.0 / T_A + 1.0 / T_B - 2.0 * eta <= 0.0
-            return
-        got = performance(det, InteractionParams(math.sqrt(b2)), T_A, T_B)
-        assert got.epsilon == pytest.approx(eps, rel=1e-14, abs=0.0)
-
-    def test_unreachable_is_inf(self):
-        sp = DetectorModel(DetectorKind.SINGLE_PHOTON, 1.0)
-        assert beta_sq_for_epsilon(sp, 0.1, 1.0, 1.0) == math.inf
-        th = DetectorModel(DetectorKind.THRESHOLD, 0.9)
-        assert beta_sq_for_epsilon(th, 0.5, 0.5, 0.5) == math.inf
 
 
 class TestOracleAgreement:

@@ -3,15 +3,115 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rnpm.chain import (ChainConfig, GeometryKind, Hardware, chain_closed_form,
-                        direct_transmission_time)
-from rnpm.formulas import DetectorKind, DetectorModel
-from rnpm.optimize import (OptimumRecord, SweepSpec, _time_for,
-                           brute_force_chain, optimize_chain, sweep)
+                        direct_transmission_time, generation_transmittances)
+from rnpm.formulas import (DetectorKind, DetectorModel, InteractionParams,
+                           epsilon_rate, performance)
+from rnpm.optimize import (BETA_SQ_HI, BETA_SQ_LO, N_MAX, OptimumRecord,
+                           SweepSpec, brute_force_chain, optimize_chain, sweep,
+                           time_kernel)
 
 HW = Hardware(0.98, DetectorModel(DetectorKind.SINGLE_PHOTON, 0.95))
+
+
+def kernel_point(kind, geometry, n, beta_s_sq, F_target, L_km, tau, eta):
+    """(hardware, T, beta_g^2, cap) of the kernel at one (n, beta_s^2)."""
+    hw = Hardware(tau, DetectorModel(kind, eta))
+    T, bg2 = time_kernel(n, L_km, F_target, hw, geometry)(beta_s_sq)
+    cap = BETA_SQ_HI
+    if kind is DetectorKind.SINGLE_PHOTON:
+        cap = min(cap, 1.0 / (2.0 * eta))
+    return hw, float(T), float(bg2), cap
+
+
+#: one kernel input: geometry, n, beta_s^2 in the scan range, F_target,
+#: L, tau and eta
+KERNEL_POINTS = dict(
+    geometry=st.sampled_from(list(GeometryKind)),
+    n=st.integers(1, N_MAX),
+    beta_s_sq=st.floats(math.log(BETA_SQ_LO), math.log(BETA_SQ_HI)).map(math.exp),
+    F_target=st.floats(0.5, 0.999, exclude_min=True),
+    L_km=st.floats(1.0, 3000.0), tau=st.floats(0.5, 1.0),
+    eta=st.floats(0.01, 1.0))
+
+
+class TestTimeKernel:
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    @settings(max_examples=300, deadline=None)
+    @given(**KERNEL_POINTS)
+    def test_matches_closed_form(self, kind, geometry, n, beta_s_sq, F_target,
+                                 L_km, tau, eta):
+        hw, T, bg2, cap = kernel_point(kind, geometry, n, beta_s_sq, F_target,
+                                       L_km, tau, eta)
+        if not math.isfinite(T):
+            return
+        res = chain_closed_form(ChainConfig(L_km, n, math.sqrt(bg2),
+                                            math.sqrt(beta_s_sq), hw, geometry))
+        assert res.T_avg == pytest.approx(T, rel=1e-12, abs=0.0)
+        if bg2 < cap:
+            # the closed form raises a rounded 1 - 2 eps to the power 2^n,
+            # so its F carries up to about 2^n ulp of 1
+            assert res.F == pytest.approx(F_target,
+                                          abs=1e-12 + 2.0 ** (n - 52))
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    @settings(max_examples=300, deadline=None)
+    @given(**dict(KERNEL_POINTS, F_target=st.floats(0.51, 0.999)))
+    def test_round_trip(self, kind, geometry, n, beta_s_sq, F_target, L_km,
+                        tau, eta):
+        """``performance`` at the kernel's beta_g^2 and beta_s^2 meets the
+        fidelity constraint, compared in the log domain.
+
+        Near F = 1/2 the comparison itself is ill-conditioned: eps -> 1/2,
+        and log1p(-2 eps) magnifies the rounding of eps by 1/(1 - 2 eps).
+        """
+        hw, T, bg2, cap = kernel_point(kind, geometry, n, beta_s_sq, F_target,
+                                       L_km, tau, eta)
+        if not (math.isfinite(T) and bg2 < cap):
+            return
+        N = 2 ** n
+        T_A, T_B = generation_transmittances(hw, L_km / N, geometry)
+        eps0 = performance(hw.detector, InteractionParams(math.sqrt(bg2)),
+                           T_A, T_B).epsilon
+        eps_s = performance(hw.detector, InteractionParams(math.sqrt(beta_s_sq)),
+                            tau, tau).epsilon
+        got = N * math.log1p(-2.0 * eps0) + (N - 1) * math.log1p(-2.0 * eps_s)
+        assert got == pytest.approx(math.log(2.0 * F_target - 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_unreachable_is_capped(self, kind):
+        # lossless arms and a perfect detector: eps0 = 0 at every beta_g, so
+        # beta_g^2 goes to its cap (threshold detectors keep c = 1 > 0)
+        hw, T, bg2, cap = kernel_point(kind, GeometryKind.ENDPOINT, 0, 0.0,
+                                       0.9, 1e-20, 1.0, 1.0)
+        assert math.isfinite(T)
+        if kind is DetectorKind.THRESHOLD:
+            assert bg2 == pytest.approx(-math.log(0.8) / 2.0, rel=1e-15)
+        else:
+            assert bg2 == cap
+
+    def test_direct_beta_g_matches_mpmath(self):
+        """beta_g^2 = -ln(ratio) / (2 c N) to within 1e-15 of 40 digits;
+        going through eps = (1 - ratio^(1/N)) / 2 loses ~5e-8 at n = 20."""
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        hw = Hardware(1.0, DetectorModel(DetectorKind.NUMBER_RESOLVING, 0.5))
+        l0 = 13.2  # c = 2 / exp(-l0 / 44 km) - 1 = 1.7
+        c = epsilon_rate(hw.detector, *generation_transmittances(
+            hw, l0, GeometryKind.MIDPOINT))
+        assert c == pytest.approx(1.7, rel=1e-2)
+        for n in range(1, N_MAX + 1):
+            for ratio in (0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+                F = (1.0 + ratio) / 2.0
+                # beta_s = 0 leaves ratio = 2 F - 1, exact in floats
+                _, bg2 = time_kernel(n, l0 * 2 ** n, F, hw,
+                                     GeometryKind.MIDPOINT)(0.0)
+                want = -mp.log(2 * mp.mpf(F) - 1) / (2 * mp.mpf(c) * 2 ** n)
+                assert abs(float(bg2) - want) <= 1e-15 * want, (n, ratio)
 
 
 class TestOptimizeChain:
@@ -46,9 +146,29 @@ class TestOptimizeChain:
     @pytest.mark.parametrize("kind", list(DetectorKind))
     def test_blind_detector_is_infeasible(self, kind):
         hw = replace(HW, detector=DetectorModel(kind, 0.0))
-        for n in (0, 1):
-            assert _time_for(n, 100.0, 0.9, hw, GeometryKind.MIDPOINT,
-                             0.01) is None
+        T, _ = time_kernel(np.array([0, 1]), 100.0, 0.9, hw,
+                           GeometryKind.MIDPOINT)(0.01)
+        assert not np.isfinite(T).any()
+        assert not optimize_chain(100.0, 0.9, hw).feasible
+
+    def test_extras_report_boundaries(self):
+        perfect = Hardware(1.0, DetectorModel(DetectorKind.NUMBER_RESOLVING, 1.0))
+        threshold = replace(HW, detector=DetectorModel(DetectorKind.THRESHOLD,
+                                                       0.95))
+        flags = ("n_at_max", "beta_g_sq_at_hi", "beta_g_sq_at_peak",
+                 "beta_s_sq_at_grid_edge")
+        cases = [  # (L, F_target, hardware, flags set, refine steps)
+            (5000.0, 0.99, perfect, {"n_at_max", "beta_s_sq_at_grid_edge"}, 12),
+            (10.0, 0.51, HW, {"beta_g_sq_at_peak"}, 0),
+            (10.0, 0.5, threshold, {"beta_g_sq_at_hi",
+                                    "beta_s_sq_at_grid_edge"}, 12),
+            (600.0, 0.9, HW, set(), 14),
+        ]
+        for L, F, hw, want, steps in cases:
+            rec = optimize_chain(L, F, hw)
+            assert {f for f in flags if rec.extras[f]} == want
+            assert rec.extras["refine_steps"] == steps
+            assert rec.n in rec.extras["feasible_n"]
 
     def test_direct_baseline_filled(self):
         rec = optimize_chain(100.0, 0.9, HW)
