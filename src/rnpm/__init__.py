@@ -4,8 +4,7 @@ density-matrix gadgets, repeater chains, distillation and time optimization.
 
 from .formulas import (DetectorKind, DetectorModel, InteractionParams,
                        LinkGeometry, PerfPoint, performance,
-                       performance_for_geometry, performance_oracle,
-                       link_transmittance, q_infty, chi)
+                       performance_oracle, link_transmittance)
 from .optics import (ProtocolConfig, OutcomeEnsemble, Variant, run_protocol,
                      fock_oracle, ensemble_performance, phase_error_split)
 from .chain import (ChainConfig, ChainResult, GeometryKind, Hardware,
@@ -19,8 +18,7 @@ from .optimize import (OptimumRecord, SweepSpec, optimize_chain, sweep,
 
 __all__ = [
     "DetectorKind", "DetectorModel", "InteractionParams", "LinkGeometry",
-    "PerfPoint", "performance", "performance_for_geometry",
-    "performance_oracle", "link_transmittance", "q_infty", "chi",
+    "PerfPoint", "performance", "performance_oracle", "link_transmittance",
     "ProtocolConfig", "OutcomeEnsemble", "Variant", "run_protocol",
     "fock_oracle", "ensemble_performance", "phase_error_split",
     "ChainConfig", "ChainResult", "GeometryKind", "Hardware",

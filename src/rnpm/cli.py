@@ -87,6 +87,21 @@ def _integer(block: dict, key: str, default: int, where: str) -> int:
     return value
 
 
+def _number(block: dict, key: str, default: float, where: str,
+            nonnegative: bool = False) -> float:
+    value = block.get(key, default)
+    _require(_is_number(value) and (value >= 0.0 or not nonnegative),
+             f"{where}.{key} must be a number" + (" >= 0" if nonnegative else ""))
+    return float(value)
+
+
+def _link_geometry(block: dict, hw: Hardware, where: str) -> LinkGeometry:
+    """Arm lengths L_A_km, L_B_km (default 0) on the hardware's fibre."""
+    return LinkGeometry(_number(block, "L_A_km", 0.0, where, True),
+                        _number(block, "L_B_km", 0.0, where, True),
+                        hw.L_att_km, hw.tau)
+
+
 def _parse_detector(name: str) -> DetectorKind:
     try:
         return DetectorKind(name)
@@ -156,9 +171,7 @@ def cmd_perf(config: dict, args) -> tuple[int, list[dict], list[str]]:
     block = _block(config, "perf", {"beta_sq", "L_A_km", "L_B_km", "detectors"})
     beta_sq = block.get("beta_sq", [0.04])
     _require(isinstance(beta_sq, list) and beta_sq, "perf.beta_sq must be a nonempty list")
-    geom = LinkGeometry(float(block.get("L_A_km", 0.0)),
-                        float(block.get("L_B_km", 0.0)), hw.L_att_km, hw.tau)
-    T_A, T_B = link_transmittance(geom)
+    T_A, T_B = link_transmittance(_link_geometry(block, hw, "perf"))
     kinds = _detector_list(block, "perf") or [hw.detector.kind]
     rows = []
     for kind in kinds:
@@ -243,13 +256,14 @@ def _montecarlo_waiting(block: dict, hw: Hardware, geometry: GeometryKind,
     n = _integer(block, "n", 1, "montecarlo")
     # reject a chain that no p_s could sample before 2 ** n is formed
     check_chain_depth(n, 1.0)
-    L_km = float(block.get("L_km", 20.0 * 2 ** n))
+    L_km = _number(block, "L_km", 20.0 * 2 ** n, "montecarlo")
+    _require(L_km > 0.0, "montecarlo.L_km must be > 0")
     if "p_g" in block:
-        p_g = float(block["p_g"])
-        p_s = float(block.get("p_s", 1.0))
+        p_g = _number(block, "p_g", None, "montecarlo")
+        p_s = _number(block, "p_s", 1.0, "montecarlo")
     else:
-        bg = math.sqrt(float(block.get("beta_g_sq", 0.04)))
-        bs = math.sqrt(float(block.get("beta_s_sq", 0.04)))
+        bg = math.sqrt(_number(block, "beta_g_sq", 0.04, "montecarlo", True))
+        bs = math.sqrt(_number(block, "beta_s_sq", 0.04, "montecarlo", True))
         cfg = ChainConfig(L_km, n, bg, bs, hw, geometry)
         p_g = generation_perf(bg, hw, cfg.l0_km, geometry)[0]
         p_s = swap_perf(bs, hw)[0] if n else 1.0
@@ -269,9 +283,8 @@ def _montecarlo_waiting(block: dict, hw: Hardware, geometry: GeometryKind,
 
 def _montecarlo_rnpm(block: dict, hw: Hardware, seed: int,
                      trials: int) -> list[dict]:
-    b2 = float(block.get("beta_sq", 0.04))
-    geom = LinkGeometry(float(block.get("L_A_km", 0.0)),
-                        float(block.get("L_B_km", 0.0)), hw.L_att_km, hw.tau)
+    b2 = _number(block, "beta_sq", 0.04, "montecarlo", True)
+    geom = _link_geometry(block, hw, "montecarlo")
     cfg = optics.ProtocolConfig(InteractionParams(math.sqrt(b2)), geom,
                                 hw.detector)
     ens = optics.run_protocol(cfg)
@@ -330,20 +343,25 @@ def cmd_optics(config: dict, args, out) -> int:
     hw = parse_hardware(config)
     block = _block(config, "optics", {"beta_sq", "alpha", "theta", "L_A_km",
                                       "L_B_km", "variant", "initial_state"})
-    geom = LinkGeometry(float(block.get("L_A_km", 0.0)),
-                        float(block.get("L_B_km", 0.0)), hw.L_att_km, hw.tau)
+    geom = _link_geometry(block, hw, "optics")
     if "alpha" in block or "theta" in block:
         _require("alpha" in block and "theta" in block,
                  "optics.alpha and optics.theta must be given together")
-        alpha, theta = float(block["alpha"]), float(block["theta"])
+        alpha = _number(block, "alpha", None, "optics")
+        theta = _number(block, "theta", None, "optics")
         par = InteractionParams(alpha * math.sin(theta / 2.0), alpha, theta)
     else:
-        par = InteractionParams(math.sqrt(float(block.get("beta_sq", 0.04))))
-    variant = optics.Variant(block.get("variant", "central"))
+        par = InteractionParams(
+            math.sqrt(_number(block, "beta_sq", 0.04, "optics", True)))
+    variant = block.get("variant", "central")
+    variants = [v.value for v in optics.Variant]
+    _require(variant in variants,
+             f"optics.variant must be one of {variants}, got {variant!r}")
     initial = block.get("initial_state")
     if initial is not None:
         initial = np.asarray(initial, dtype=complex)
-    cfg = optics.ProtocolConfig(par, geom, hw.detector, variant, initial)
+    cfg = optics.ProtocolConfig(par, geom, hw.detector,
+                                optics.Variant(variant), initial)
     ens = optics.run_protocol(cfg)
     doc = {"outcomes": []}
     for (m, n) in sorted(ens.entries):
@@ -354,7 +372,7 @@ def cmd_optics(config: dict, args, out) -> int:
             rec["state_re"] = e.state.real.tolist()
             rec["state_im"] = e.state.imag.tolist()
         doc["outcomes"].append(rec)
-    json.dump(doc, out, indent=2)
+    json.dump(doc, out, indent=2, allow_nan=False)
     out.write("\n")
     return 0
 

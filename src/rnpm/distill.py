@@ -45,18 +45,10 @@ class RecurrenceResult:
     F_prime: float
 
 
-def twirl_to_werner(rho: np.ndarray) -> WernerState:
-    """Werner state with the same phi+ fidelity as rho."""
-    return WernerState(gadgets.fidelity_to(rho, gadgets.PHI_PLUS))
-
-
 def _two_pair_input(F: float) -> np.ndarray:
     """rho_W(F) x rho_W(F) on qubits (A1, B1, A2, B2)."""
     pair = WernerState(F).density()
-    big = np.kron(pair, pair)
-    # reorder (A1, B1, A2, B2) from the natural (A1 B1)(A2 B2) ordering: the
-    # kron above already gives qubit order A1 B1 A2 B2
-    return big
+    return np.kron(pair, pair)
 
 
 def recurrence_oracle(F: float, epsilon: float) -> RecurrenceResult:

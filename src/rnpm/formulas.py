@@ -182,43 +182,6 @@ def _check_transmittances(T_A: float, T_B: float, eta: float):
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
 
 
-def q_infty(k: int, l: int, params: InteractionParams, T_A: float, T_B: float,
-            eta: float) -> float:
-    """Joint probability of k photons emitted and l counted (number resolving).
-
-    Closed form obtained from the double sum over the per-arm Poisson photon
-    numbers and binomial detections; 0^0 = 1 at k = l.
-    """
-    _check_transmittances(T_A, T_B, eta)
-    if l < 0 or l > k:
-        return 0.0
-    b2 = params.beta ** 2
-    pref = math.exp(-(1.0 / T_A + 1.0 / T_B) * b2)
-    sig = 2.0 * b2 * eta
-    res = ((1.0 - eta * T_A) / T_A + (1.0 - eta * T_B) / T_B) * b2
-    # 0^0 convention handled explicitly so beta = 0 or lossless arms work
-    t1 = sig ** l if (sig > 0 or l == 0) else 0.0
-    t2 = res ** (k - l) if (res > 0 or k == l) else 0.0
-    return pref * t1 * t2 / (math.factorial(l) * math.factorial(k - l))
-
-
-def chi(l: int, sign: int, params: InteractionParams, T_A: float, T_B: float,
-        eta: float) -> float:
-    """chi_l^(+/-) = sum_k (+/-1)^(k-l) Q(k, l), in closed form."""
-    _check_transmittances(T_A, T_B, eta)
-    if l < 1:
-        raise ValueError("l must be a positive integer")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    b2 = params.beta ** 2
-    sig = 2.0 * b2 * eta
-    front = (sig ** l) / math.factorial(l) if (sig > 0 or l == 0) else 0.0
-    if sign > 0:
-        return front * math.exp(-sig)
-    # exponent 2 beta^2 eta (1/(eta T_A) + 1/(eta T_B) - 1) = 2 beta^2 (1/T_A + 1/T_B - eta)
-    return front * math.exp(-2.0 * b2 * (1.0 / T_A + 1.0 / T_B - eta))
-
-
 def epsilon_rate(detector: DetectorModel, T_A: float, T_B: float) -> float:
     """c in eps = -expm1(-2 beta^2 c)/2; 1/(eta T) >= 1 keeps it nonnegative."""
     eta = detector.efficiency
@@ -316,10 +279,3 @@ def performance_oracle(detector: DetectorModel, params: InteractionParams,
 
     eps = num / (2.0 * p) if p > 0 else 0.0
     return PerfPoint(p=float(p), epsilon=float(eps))
-
-
-def performance_for_geometry(detector: DetectorModel, params: InteractionParams,
-                             geometry: LinkGeometry) -> PerfPoint:
-    """Convenience wrapper: transmittances from the geometry, then closed form."""
-    T_A, T_B = link_transmittance(geometry)
-    return performance(detector, params, T_A, T_B)

@@ -231,13 +231,11 @@ def parity_check(rho: np.ndarray, qubits: tuple[int, int],
 def cluster_state(n: int) -> np.ndarray:
     """Linear cluster state vector on n qubits (CZ chain on |+>^n)."""
     v = np.ones(2 ** n, dtype=complex) / np.sqrt(2 ** n)
+    idx = np.arange(2 ** n)
     for q in range(n - 1):
-        cz = np.eye(2 ** n, dtype=complex)
-        for idx in range(2 ** n):
-            bits = [(idx >> (n - 1 - t)) & 1 for t in range(n)]
-            if bits[q] == 1 and bits[q + 1] == 1:
-                cz[idx, idx] = -1.0
-        v = cz @ v
+        # CZ on (q, q + 1) as its diagonal: -1 where both bits are set
+        both = (idx >> (n - 1 - q)) & (idx >> (n - 2 - q)) & 1
+        v = v * (1.0 - 2.0 * both)
     return v
 
 

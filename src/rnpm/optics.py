@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -38,106 +38,40 @@ class Variant(Enum):
     LOCAL_DISPLACEMENT = "local"
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One computational-basis branch with its pulse amplitudes.
-
-    ``env_a``/``env_b`` hold the coherent amplitudes leaked into the loss
-    environments; inter-branch coherence is recovered from their overlaps.
-    """
-
-    label: tuple[int, int]
-    amplitude: complex
-    mode_a: complex
-    mode_b: complex
-    env_a: complex = 0j
-    env_b: complex = 0j
+#: signs (-1)^j of qubit A and (-1)^k of qubit B, in BASIS_LABELS order
+SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
+SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-@dataclass
-class BranchState:
-    branches: list[Branch]
-
-    @classmethod
-    def initial(cls, alpha: float, theta: float, T_A: float, T_B: float) -> "BranchState":
-        del theta
-        a0 = alpha / math.sqrt(T_A)
-        b0 = alpha / math.sqrt(T_B)
-        return cls([Branch(lbl, 1.0 + 0j, a0 + 0j, b0 + 0j) for lbl in BASIS_LABELS])
+def _log_overlap(g, h):
+    """ln<g|h> = -|g - h|^2/2 + i Im(g* h): exactly 0 at g == h, at any size."""
+    # real products: a fused complex g* g can leave an imaginary part
+    return -0.5 * np.abs(g - h) ** 2 + 1j * (g.real * h.imag - g.imag * h.real)
 
 
-def interact(state: BranchState, theta: float, qubit: str) -> BranchState:
-    """Apply the qubit-conditional pulse rotation U_theta on one arm.
-
-    The pulse amplitude picks up e^{i(-1)^j theta/2} and the branch amplitude
-    e^{-i(-1)^j phi/2} with phi = |pulse|^2 sin(theta).
-    """
-    field_name = "mode_a" if qubit == "A" else "mode_b"
-    out = []
-    for br in state.branches:
-        sgn = (-1) ** br.label[0 if qubit == "A" else 1]
-        mode = getattr(br, field_name)
-        phi = abs(mode) ** 2 * math.sin(theta)
-        amp = br.amplitude * cmath.exp(-1j * sgn * phi / 2.0)
-        mode = mode * cmath.exp(1j * sgn * theta / 2.0)
-        out.append(replace(br, amplitude=amp, **{field_name: mode}))
-    return BranchState(out)
+def coherent_overlap(gamma, gamma_prime):
+    """<gamma|gamma_prime> for coherent states; broadcasts."""
+    return np.exp(_log_overlap(gamma, gamma_prime))
 
 
-def displace(state: BranchState, d_a: complex, d_b: complex) -> BranchState:
-    """Displace both pulses, keeping track of the displacement phases."""
-    out = []
-    for br in state.branches:
-        amp = br.amplitude
-        amp *= cmath.exp(1j * (d_a * br.mode_a.conjugate()).imag)
-        amp *= cmath.exp(1j * (d_b * br.mode_b.conjugate()).imag)
-        out.append(replace(br, amplitude=amp, mode_a=br.mode_a + d_a,
-                           mode_b=br.mode_b + d_b))
-    return BranchState(out)
-
-
-def apply_loss(state: BranchState, T_A: float, T_B: float) -> BranchState:
-    """Scale the pulse amplitudes by sqrt(T) and record the lost components."""
-    if not 0.0 < T_A <= 1.0 or not 0.0 < T_B <= 1.0:
-        raise ValueError("transmittances must lie in (0, 1]")
-    out = []
-    for br in state.branches:
-        out.append(replace(
-            br,
-            mode_a=br.mode_a * math.sqrt(T_A),
-            mode_b=br.mode_b * math.sqrt(T_B),
-            env_a=br.env_a + br.mode_a * math.sqrt(1.0 - T_A),
-            env_b=br.env_b + br.mode_b * math.sqrt(1.0 - T_B),
-        ))
-    return BranchState(out)
-
-
-def coherent_overlap(gamma: complex, gamma_prime: complex) -> complex:
-    """<gamma|gamma_prime> for coherent states, via the exponent."""
-    expo = (-0.5 * abs(gamma) ** 2 - 0.5 * abs(gamma_prime) ** 2
-            + gamma.conjugate() * gamma_prime)
-    return cmath.exp(expo)
-
-
-def povm_overlap(detector: DetectorModel, m: int, gamma: complex,
-                 gamma_prime: complex) -> complex:
-    """Coherent-state matrix element <gamma| Pi_m |gamma_prime>.
+def povm_overlap(detector: DetectorModel, m: int, gamma, gamma_prime):
+    """Coherent-state matrix element <gamma| Pi_m |gamma_prime>; broadcasts.
 
     For threshold and single-photon detectors m is a binary announcement
     (click / exactly-one-photon); exponents are accumulated in log domain
     before a single exp.
     """
     eta = detector.efficiency
-    x = gamma.conjugate() * gamma_prime
-    base = -0.5 * abs(gamma) ** 2 - 0.5 * abs(gamma_prime) ** 2
+    x = np.conj(gamma) * gamma_prime
+    log_ov = _log_overlap(gamma, gamma_prime)
 
-    def resolved(mm: int) -> complex:
+    def resolved(mm: int):
         if mm == 0:
-            return cmath.exp(base + (1.0 - eta) * x)
-        if eta == 0.0 or x == 0:
-            return 0j
-        return cmath.exp(base + (1.0 - eta) * x + mm * cmath.log(eta * x)
-                         - math.lgamma(mm + 1))
+            return np.exp(log_ov - eta * x)
+        live = (x != 0) & (eta != 0.0)
+        log_ex = np.log(np.where(live, eta * x, 1.0))
+        return np.where(live, np.exp(log_ov - eta * x + mm * log_ex
+                                     - math.lgamma(mm + 1)), 0j)[()]
 
     if detector.kind is DetectorKind.NUMBER_RESOLVING:
         if m < 0:
@@ -148,11 +82,11 @@ def povm_overlap(detector: DetectorModel, m: int, gamma: complex,
     if detector.kind is DetectorKind.THRESHOLD:
         if m == 0:
             return resolved(0)
-        return cmath.exp(base + x) - resolved(0)
+        return np.exp(log_ov) - resolved(0)
     # single photon: announced outcome is exactly one photon
     if m == 1:
         return resolved(1)
-    return cmath.exp(base + x) - resolved(1)
+    return np.exp(log_ov) - resolved(1)
 
 
 @dataclass(frozen=True)
@@ -165,15 +99,17 @@ class ProtocolConfig:
 
     def initial_density(self) -> np.ndarray:
         if self.initial_state is None:
-            v = PLUS_PLUS
-            return np.outer(v, v.conjugate())
+            return np.outer(PLUS_PLUS, PLUS_PLUS.conjugate())
         arr = np.asarray(self.initial_state, dtype=complex)
-        if arr.shape == (4,):
-            arr = arr / np.linalg.norm(arr)
-            return np.outer(arr, arr.conjugate())
-        if arr.shape == (4, 4):
-            return arr / np.trace(arr).real
-        raise ValueError("initial_state must be a 4-vector or 4x4 matrix")
+        if arr.shape not in ((4,), (4, 4)):
+            raise ValueError("initial_state must be a 4-vector or 4x4 matrix")
+        vector = arr.ndim == 1
+        scale = float(np.linalg.norm(arr) if vector else np.trace(arr).real)
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"initial_state {'norm' if vector else 'trace'} "
+                             f"must be finite and > 0, got {scale!r}")
+        arr = arr / scale
+        return np.outer(arr, arr.conjugate()) if vector else arr
 
 
 @dataclass(frozen=True)
@@ -190,9 +126,7 @@ class OutcomeEnsemble:
         return sum(e.probability for e in self.entries.values())
 
     def success_items(self):
-        for (m, n), e in self.entries.items():
-            if (m > 0 and n == 0) or (m == 0 and n > 0):
-                yield (m, n), e
+        return ((mn, e) for mn, e in self.entries.items() if outcome_parity(*mn))
 
     def success_probability(self) -> float:
         return sum(e.probability for _, e in self.success_items())
@@ -211,28 +145,35 @@ Z_B = np.diag([1.0, -1.0, 1.0, -1.0])
 
 
 def _final_branches(config: ProtocolConfig):
-    """Per-basis-branch (phase, d1, d2, env_a, env_b) after steps (i)-(iv)."""
+    """(phase, d1, d2, env_a, env_b) after steps (i)-(iv), as 4-vectors.
+
+    Entry i is branch BASIS_LABELS[i]; s = (-1)^j on arm A, (-1)^k on arm B.
+    U_theta turns a pulse by e^{i s theta/2} with the branch phase
+    e^{-i s |pulse|^2 sin(theta)/2}; a displacement d adds e^{i Im(d pulse*)};
+    loss keeps sqrt(T) of a pulse and leaks sqrt(1 - T) to its environment.
+    """
     alpha, theta = config.params.resolved()
     T_A, T_B = link_transmittance(config.geometry)
-    state = BranchState.initial(alpha, theta, T_A, T_B)
-    state = interact(state, theta, "A")
-    state = interact(state, theta, "B")
+    for arm, T in (("A", T_A), ("B", T_B)):  # before any division by sqrt(T)
+        if not (0.0 < T <= 1.0 and math.isfinite(alpha ** 2 / T)):
+            raise ValueError(f"arm {arm}: transmittance T_{arm} = {T!r} must "
+                             f"lie in (0, 1] with alpha^2/T_{arm} finite")
+    a0, b0 = alpha / math.sqrt(T_A), alpha / math.sqrt(T_B)
+    a = a0 * np.exp(0.5j * theta * SIGN_A)
+    b = b0 * np.exp(0.5j * theta * SIGN_B)
+    phase = np.exp(-0.5j * math.sin(theta) * (a0**2 * SIGN_A + b0**2 * SIGN_B))
     if config.variant is Variant.LOCAL_DISPLACEMENT:
-        d_a = -(alpha / math.sqrt(T_A)) * math.cos(theta / 2.0)
-        d_b = -(alpha / math.sqrt(T_B)) * math.cos(theta / 2.0)
-        state = displace(state, d_a, d_b)
-    state = apply_loss(state, T_A, T_B)
-    branches = []
-    for br in state.branches:
-        d1 = (br.mode_a - br.mode_b) / SQRT2
-        d2 = (br.mode_a + br.mode_b) / SQRT2
-        amp = br.amplitude
-        if config.variant is Variant.CENTRAL_DISPLACEMENT:
-            d = -SQRT2 * alpha * math.cos(theta / 2.0)
-            amp *= cmath.exp(1j * (d * d2.conjugate()).imag)
-            d2 = d2 + d
-        branches.append((amp, d1, d2, br.env_a, br.env_b))
-    return branches
+        d_a, d_b = -a0 * math.cos(theta / 2.0), -b0 * math.cos(theta / 2.0)
+        phase = phase * np.exp(1j * ((d_a * a.conj() + d_b * b.conj()).imag))
+        a, b = a + d_a, b + d_b
+    env_a, env_b = a * math.sqrt(1.0 - T_A), b * math.sqrt(1.0 - T_B)
+    a, b = a * math.sqrt(T_A), b * math.sqrt(T_B)
+    d1, d2 = (a - b) / SQRT2, (a + b) / SQRT2
+    if config.variant is Variant.CENTRAL_DISPLACEMENT:
+        d = -SQRT2 * alpha * math.cos(theta / 2.0)
+        phase = phase * np.exp(1j * (d * d2.conj()).imag)
+        d2 = d2 + d
+    return phase, d1, d2, env_a, env_b
 
 
 def _outcome_entry(rho0: np.ndarray, M: np.ndarray, m: int,
@@ -248,12 +189,12 @@ def _outcome_entry(rho0: np.ndarray, M: np.ndarray, m: int,
     return OutcomeEntry(prob, 0.5 * (rho_c + rho_c.conjugate().T))
 
 
-def _outcome_grid(detector: DetectorModel, branches, tail: float = 1e-13):
+def _counts(detector: DetectorModel, d1, d2, tail: float = 1e-13) -> range:
+    """Announced photon counts per output mode: 0/1, or 0..m_max resolved."""
     if detector.kind is not DetectorKind.NUMBER_RESOLVING:
-        return [(m, n) for m in (0, 1) for n in (0, 1)]
-    lam = max(max(abs(d1) ** 2, abs(d2) ** 2) for _, d1, d2, _, _ in branches)
-    m_max = poisson_cutoff(lam * detector.efficiency, tail, 4)
-    return [(m, n) for m in range(m_max + 1) for n in range(m_max + 1)]
+        return range(2)
+    lam = float(max(np.max(np.abs(d1) ** 2), np.max(np.abs(d2) ** 2)))
+    return range(poisson_cutoff(lam * detector.efficiency, tail, 4) + 1)
 
 
 def run_protocol(config: ProtocolConfig) -> OutcomeEnsemble:
@@ -261,21 +202,23 @@ def run_protocol(config: ProtocolConfig) -> OutcomeEnsemble:
 
     Beam-splitter convention: d1 = (a - b)/sqrt(2), d2 = (a + b)/sqrt(2), so
     the even-parity branches interfere constructively into d2.  The parity
-    correction Z on qubit B is applied whenever m + n is odd.
+    correction Z on qubit B is applied whenever m + n is odd.  Weights are
+    [r, c] arrays over branch pairs.
     """
     rho0 = config.initial_density()
-    branches = _final_branches(config)
+    phase, d1, d2, env_a, env_b = _final_branches(config)
+    base = (np.outer(phase, phase.conj())
+            * coherent_overlap(env_a[None, :], env_a[:, None])
+            * coherent_overlap(env_b[None, :], env_b[:, None]))
+    det = config.detector
+    counts = _counts(det, d1, d2)
+    P1 = [povm_overlap(det, m, d1[None, :], d1[:, None]) for m in counts]
+    P2 = [povm_overlap(det, n, d2[None, :], d2[:, None]) for n in counts]
     ensemble = OutcomeEnsemble()
-    for (m, n) in _outcome_grid(config.detector, branches):
-        M = np.empty((4, 4), dtype=complex)
-        for r, (ar, d1r, d2r, ear, ebr) in enumerate(branches):
-            for c, (ac, d1c, d2c, eac, ebc) in enumerate(branches):
-                fac = ar * ac.conjugate()
-                fac *= coherent_overlap(eac, ear) * coherent_overlap(ebc, ebr)
-                fac *= povm_overlap(config.detector, m, d1c, d1r)
-                fac *= povm_overlap(config.detector, n, d2c, d2r)
-                M[r, c] = fac
-        ensemble.entries[(m, n)] = _outcome_entry(rho0, M, m, n)
+    for m in counts:
+        for n in counts:
+            ensemble.entries[(m, n)] = _outcome_entry(
+                rho0, base * P1[m] * P2[n], m, n)
     return ensemble
 
 
@@ -334,10 +277,9 @@ def required_n_max(config: ProtocolConfig, tail: float = 1e-12) -> int:
     """Photon-number cutoff covering every coherent amplitude in the pipeline."""
     alpha, theta = config.params.resolved()
     T_A, T_B = link_transmittance(config.geometry)
-    amps = [alpha / math.sqrt(T_A), alpha / math.sqrt(T_B)]
-    for _, d1, d2, _, _ in _final_branches(config):
-        amps.extend([abs(d1), abs(d2)])
-    amps.append(SQRT2 * alpha * abs(math.cos(theta / 2.0)))
+    _, d1, d2, _, _ = _final_branches(config)
+    amps = [alpha / math.sqrt(T_A), alpha / math.sqrt(T_B), *np.abs(d1),
+            *np.abs(d2), SQRT2 * alpha * abs(math.cos(theta / 2.0))]
     lam = max(a ** 2 for a in amps)
     return poisson_cutoff(lam, tail, 8) + 6  # margin for displacement spillover
 
@@ -406,7 +348,8 @@ def fock_oracle(config: ProtocolConfig, n_max: int | None = None,
             diags[(r, c)] = np.einsum("ij,ij->i", U @ M, U.conjugate()).reshape(dim, dim)
 
     rho0 = config.initial_density()
-    grid = _outcome_grid(config.detector, _final_branches(config))
+    counts = _counts(config.detector, *_final_branches(config)[1:3])
+    grid = [(m, n) for m in counts for n in counts]
     ensemble = OutcomeEnsemble()
     pi = {m: _detector_diag(config.detector, m, dim)
           for m in {count for mn in grid for count in mn}}

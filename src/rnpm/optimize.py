@@ -21,10 +21,9 @@ from .formulas import DetectorKind, DetectorModel, epsilon_rate
 N_MAX = 20
 BETA_SQ_LO = 1e-6
 BETA_SQ_HI = 2.0
-GOLDEN_REL_TOL = 1e-4     # relative tolerance in T
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG_WIDTH = 1e-3         # golden-section stop in ln beta_s^2; resolves T
-                          # well below GOLDEN_REL_TOL
+                          # to well below 1e-4 relative
 _GRID = np.logspace(math.log10(BETA_SQ_LO), math.log10(BETA_SQ_HI), 48)
 _LOG_GRID = np.log(_GRID)
 

@@ -342,6 +342,21 @@ class TestConfigHandling:
         ("montecarlo", {"montecarlo": {"n": 1, "p_g": 0.5, "trials": 10,
                                        "seed": True}}),
         ("optics", {"optics": []}),
+        ("perf", {"perf": {"L_A_km": None}}),
+        ("perf", {"perf": {"L_A_km": "10"}}),
+        ("perf", {"perf": {"L_B_km": -1}}),
+        ("optics", {"optics": {"alpha": None, "theta": 1.0}}),
+        ("optics", {"optics": {"beta_sq": -0.1}}),
+        ("optics", {"optics": {"L_A_km": 1e5}}),
+        ("optics", {"optics": {"variant": "bogus"}}),
+        ("optics", {"optics": {"initial_state": [0, 0, 0, 0]}}),
+        ("optics", {"optics": {"initial_state": [[0] * 4] * 4}}),
+        ("montecarlo", {"montecarlo": {"p_g": None, "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"n": 1, "p_g": 0.5, "L_km": -5,
+                                       "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"beta_g_sq": True, "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"mode": "rnpm", "L_A_km": 1e5,
+                                       "trials": 10}}),
     ])
     def test_bad_scalar_is_config_error(self, tmp_path, capsys, command, cfg):
         code, text = invoke(tmp_path, command, cfg)

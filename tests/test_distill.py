@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rnpm.distill import (WernerState, recurrence_oracle, recurrence_step,
-                          recurrence_via_gadgets, twirl_to_werner)
+                          recurrence_via_gadgets)
 from rnpm.formulas import DetectorKind, DetectorModel, InteractionParams, performance
 from rnpm.gadgets import PHI_PLUS, fidelity_to
 
@@ -31,10 +31,6 @@ class TestWerner:
         assert np.trace(rho).real == pytest.approx(1.0)
         assert np.linalg.eigvalsh(rho).min() > 0
         assert fidelity_to(rho, PHI_PLUS) == pytest.approx(0.8)
-
-    def test_twirl_preserves_fidelity(self):
-        rho = WernerState(0.73).density()
-        assert twirl_to_werner(rho).F == pytest.approx(0.73)
 
     def test_validation(self):
         with pytest.raises(ValueError):

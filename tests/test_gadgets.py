@@ -241,7 +241,24 @@ class TestElementwiseKernels:
         assert np.array_equal(kron(a, b), np.kron(np.kron([[1.0 + 0j]], a), b))
 
 
+def dense_cluster_state(n):
+    """CZ chain on |+>^n, each CZ a dense 2^n x 2^n diagonal matrix."""
+    v = np.ones(2 ** n, dtype=complex) / np.sqrt(2 ** n)
+    for q in range(n - 1):
+        cz = np.eye(2 ** n, dtype=complex)
+        for idx in range(2 ** n):
+            bits = [(idx >> (n - 1 - t)) & 1 for t in range(n)]
+            if bits[q] == 1 and bits[q + 1] == 1:
+                cz[idx, idx] = -1.0
+        v = cz @ v
+    return v
+
+
 class TestCluster:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cluster_state_matches_dense_cz(self, n):
+        assert np.array_equal(cluster_state(n), dense_cluster_state(n))
+
     def test_cluster_state_stabilized(self):
         for n in (2, 3, 4):
             v = cluster_state(n)

@@ -156,6 +156,37 @@ class TestFockOracle:
             fock_oracle(cfg, n_max=1)
 
 
+GENERIC_THETA = InteractionParams(0.35 * math.sin(0.85), 0.35, 1.7)
+
+
+@pytest.mark.parametrize("kind, variant, params", [
+    *((kind, variant, None) for kind in ALL_KINDS for variant in Variant),
+    (DetectorKind.NUMBER_RESOLVING, Variant.LOCAL_DISPLACEMENT, GENERIC_THETA),
+])
+def test_fock_oracle_probabilities_within_1e13(kind, variant, params):
+    # the 1e-8 comparisons above cannot see a drift of the branch engine
+    # at the 1e-13 level; every outcome probability is held here
+    cfg = config(kind, beta=0.22, variant=variant,
+                 params=params or InteractionParams(0.22))
+    ours, oracle = run_protocol(cfg), fock_oracle(cfg)
+    assert ours.entries.keys() == oracle.entries.keys()
+    for key, entry in ours.entries.items():
+        assert abs(entry.probability - oracle.entries[key].probability) < 1e-13
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_long_arm_matches_closed_form(kind):
+    # the arm-A environment amplitudes reach ~1e28; equal ones must still
+    # overlap to exactly 1, or every outcome probability is lost
+    cfg = config(kind, geometry=LinkGeometry(3000.0, 15.0, 22.0, 0.93))
+    ens = run_protocol(cfg)
+    assert ens.total_probability() == pytest.approx(1.0, abs=1e-10)
+    pf = performance(cfg.detector, cfg.params, *link_transmittance(cfg.geometry))
+    p, eps = ensemble_performance(ens)
+    assert p == pytest.approx(pf.p, abs=1e-10)
+    assert eps == pytest.approx(pf.epsilon, abs=1e-10)
+
+
 class TestLosslessIdentity:
     def test_bell_states_emerge(self):
         # perfect number-resolving detection on a lossless link projects
