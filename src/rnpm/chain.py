@@ -170,9 +170,10 @@ def direct_transmission_time(L_km: float, f_hz: float, eta: float,
     """Average time (f eta T_L)^{-1} of direct transmission; inf at eta = 0."""
     if f_hz <= 0:
         raise ValueError("source rate must be positive")
-    if eta == 0.0:
+    rate = f_hz * eta
+    if rate == 0.0:  # eta = 0, or the product underflows
         return math.inf
-    return math.exp(L_km / L_att_km) / (f_hz * eta)
+    return math.exp(L_km / L_att_km) / rate
 
 
 def expected_max_geometric(p: float) -> float:

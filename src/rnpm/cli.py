@@ -30,13 +30,6 @@ from .formulas import (DetectorKind, DetectorModel, InteractionParams,
                        LinkGeometry, TruncationError, link_transmittance,
                        performance, performance_oracle)
 
-DEFAULT_HARDWARE = {
-    "tau": 0.98, "eta": 0.95, "detector": "single_photon",
-    "L_att_km": 22.0, "c_m_per_s": 2.0e8, "f_hz": 1.0e10,
-}
-
-DEFAULT_DISTILL_BETA_SQ = [0.04, 0.08, 0.12]
-
 
 class ConfigError(ValueError):
     pass
@@ -47,105 +40,127 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
-def _check_keys(block: dict, allowed: set[str], where: str):
-    unknown = set(block) - allowed
-    _require(not unknown, f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _block(config: dict, name: str, allowed: set[str]) -> dict:
-    block = config.get(name, {})
-    _require(isinstance(block, dict), f"{name} must be an object")
-    _check_keys(block, allowed, name)
-    return block
-
-
 def _is_number(v) -> bool:
     """A JSON number that converts to a float: no bool, no huge integer."""
     return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
                                     and abs(v) <= sys.float_info.max)
 
 
-def _number_list(block: dict, key: str, default: list, where: str) -> list[float]:
-    values = block.get(key, default)
-    _require(isinstance(values, list) and values
-             and all(_is_number(v) for v in values),
-             f"{where}.{key} must be a nonempty list of numbers")
-    return [float(v) for v in values]
-
-
-def _detector_list(block: dict, where: str) -> list[DetectorKind]:
-    names = block.get("detectors", [])
-    _require(isinstance(names, list) and all(isinstance(d, str) for d in names),
-             f"{where}.detectors must be a list of detector names")
-    return [_parse_detector(d) for d in names]
-
-
-def _integer(block: dict, key: str, default: int, where: str) -> int:
-    value = block.get(key, default)
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{where}.{key} must be an integer")
-    return value
-
-
-def _number(block: dict, key: str, default: float, where: str,
-            nonnegative: bool = False) -> float:
-    value = block.get(key, default)
-    _require(_is_number(value) and (value >= 0.0 or not nonnegative),
-             f"{where}.{key} must be a number" + (" >= 0" if nonnegative else ""))
-    return float(value)
-
-
-def _link_geometry(block: dict, hw: Hardware, where: str) -> LinkGeometry:
-    """Arm lengths L_A_km, L_B_km (default 0) on the hardware's fibre."""
-    return LinkGeometry(_number(block, "L_A_km", 0.0, where, True),
-                        _number(block, "L_B_km", 0.0, where, True),
-                        hw.L_att_km, hw.tau)
-
-
-def _parse_detector(name: str) -> DetectorKind:
+def _is_entry(v) -> bool:
+    """A state entry: a JSON number, or a string that complex() parses."""
     try:
-        return DetectorKind(name)
+        return _is_number(v) or isinstance(v, str) and isinstance(complex(v), complex)
     except ValueError:
-        raise ConfigError(
-            f"unknown detector {name!r}; expected one of "
-            f"{[k.value for k in DetectorKind]}") from None
+        return False
 
 
-#: (hardware field, rule, test) for the numeric hardware fields
-HARDWARE_RANGES = (
-    ("tau", "a number in (0, 1]", lambda x: 0.0 < x <= 1.0),
-    ("eta", "a number in [0, 1]", lambda x: 0.0 <= x <= 1.0),
-    ("L_att_km", "a finite number > 0", lambda x: 0.0 < x < math.inf),
-    ("c_m_per_s", "a finite number > 0", lambda x: 0.0 < x < math.inf),
-    ("f_hz", "a finite number > 0", lambda x: 0.0 < x < math.inf),
-)
+def _is_state(v) -> bool:
+    """A list of 4 entries, or 4 such lists."""
+    matrix = isinstance(v, list) and len(v) == 4 and all(isinstance(r, list) for r in v)
+    return all(isinstance(r, list) and len(r) == 4 and all(map(_is_entry, r))
+               for r in (v if matrix else [v]))
+
+
+def _num(text: str, ok=lambda x: True):
+    return (text, lambda v: _is_number(v) and ok(v))
+
+
+def _nums(text: str, ok):
+    return (f"a nonempty list of numbers, each {text}", lambda v: isinstance(v, list)
+            and bool(v) and all(_is_number(x) and ok(x) for x in v))
+
+
+def _one_of(values: list):
+    return (f"one of {values}", lambda v: v in values)
+
+
+_COUNT = _num("an integer >= 0", lambda x: isinstance(x, int) and x >= 0)
+_NONNEG = _num("a number >= 0", lambda x: x >= 0.0)
+_POSITIVE = _num("a finite number > 0", lambda x: 0.0 < x < math.inf)
+_PROBABILITY = _num("a number in (0, 1]", lambda x: 0.0 < x <= 1.0)
+_DETECTORS = [k.value for k in DetectorKind]
+_DETECTOR_LIST = (f"a list of detector names in {_DETECTORS}", lambda v:
+                  isinstance(v, list) and all(d in _DETECTORS for d in v))
+
+#: block -> field -> (default, (rule text, test)). A None default marks an
+#: optional field with no default; every other value, a default included,
+#: must pass its test.
+FIELDS = {
+    "hardware": {
+        "tau": (0.98, _PROBABILITY),
+        "eta": (0.95, _num("a number in [0, 1]", lambda x: 0.0 <= x <= 1.0)),
+        "L_att_km": (22.0, _POSITIVE),
+        "c_m_per_s": (2.0e8, _POSITIVE), "f_hz": (1.0e10, _POSITIVE),
+        "detector": ("single_photon", _one_of(_DETECTORS)),
+    },
+    "geometry": {"kind": ("midpoint", _one_of([k.value for k in GeometryKind]))},
+    "perf": {
+        # elements unchecked: [null] is a failure fixture of the benchmark
+        "beta_sq": ([0.04], ("a nonempty list",
+                             lambda v: isinstance(v, list) and bool(v))),
+        "L_A_km": (0.0, _NONNEG), "L_B_km": (0.0, _NONNEG),
+        "detectors": ([], _DETECTOR_LIST),
+    },
+    "repeater": {
+        "L_km": ([], _nums("finite and > 0", lambda x: 0.0 < x < math.inf)),
+        "F_targets": ([0.9, 0.7], _nums("in [0, 1]", lambda x: 0.0 <= x <= 1.0)),
+        "detectors": ([], _DETECTOR_LIST),
+    },
+    "distill": {
+        "F_grid": ([round(0.5 + 0.025 * i, 4) for i in range(21)],
+                   _nums("in [0, 1]", lambda x: 0.0 <= x <= 1.0)),
+        "beta_sq": ([0.04, 0.08, 0.12], _nums(">= 0", lambda x: x >= 0.0)),
+    },
+    "montecarlo": {
+        "mode": ("waiting", _one_of(["waiting", "rnpm"])),
+        "n": (1, _COUNT),
+        "L_km": (None, _POSITIVE),  # default 20 km * 2^n
+        # p_g given: sample p_g and p_s directly, not from beta_g_sq, beta_s_sq
+        "p_g": (None, _PROBABILITY), "p_s": (1.0, _PROBABILITY),
+        "beta_g_sq": (0.04, _NONNEG), "beta_s_sq": (0.04, _NONNEG),
+        "beta_sq": (0.04, _NONNEG),
+        "L_A_km": (0.0, _NONNEG), "L_B_km": (0.0, _NONNEG),
+        "trials": (0, _num("an integer", lambda x: isinstance(x, int))),
+        "seed": (0, _COUNT),
+    },
+    "optics": {
+        "beta_sq": (0.04, _NONNEG),
+        "alpha": (None, _num("a number")), "theta": (None, _num("a number")),
+        "L_A_km": (0.0, _NONNEG), "L_B_km": (0.0, _NONNEG),
+        "variant": ("central", _one_of([v.value for v in optics.Variant])),
+        "initial_state": (None, ("a list of 4 entries or 4 lists of 4 entries, "
+                                 "each a number or a complex string", _is_state)),
+    },
+}
+
+
+def _read_block(config: dict, name: str) -> dict:
+    """The block's value for every field of FIELDS[name], checked."""
+    block = config.get(name, {})
+    _require(isinstance(block, dict), f"{name} must be an object")
+    unknown = set(block) - set(FIELDS[name])
+    _require(not unknown, f"unknown keys in {name}: {sorted(unknown)}")
+    values = {}
+    for key, (default, (text, ok)) in FIELDS[name].items():
+        value = values[key] = block.get(key, default)
+        _require((key not in block and default is None) or ok(value),
+                 f"{name}.{key} must be {text}")
+    return values
+
+
+def _link_geometry(b: dict, hw: Hardware) -> LinkGeometry:
+    return LinkGeometry(float(b["L_A_km"]), float(b["L_B_km"]), hw.L_att_km, hw.tau)
 
 
 def parse_hardware(config: dict) -> Hardware:
-    block = dict(DEFAULT_HARDWARE)
-    block.update(_block(config, "hardware", set(DEFAULT_HARDWARE)))
-    for key, rule, ok in HARDWARE_RANGES:
-        _require(_is_number(block[key]) and ok(block[key]),
-                 f"hardware.{key} must be {rule}")
-    det = DetectorModel(_parse_detector(block["detector"]), float(block["eta"]))
-    return Hardware(float(block["tau"]), det, float(block["L_att_km"]),
-                    float(block["c_m_per_s"]), float(block["f_hz"]))
-
-
-def parse_geometry(config: dict) -> GeometryKind:
-    block = _block(config, "geometry", {"kind"})
-    try:
-        return GeometryKind(block.get("kind", "midpoint"))
-    except ValueError:
-        raise ConfigError(f"unknown geometry kind {block.get('kind')!r}") from None
+    b = _read_block(config, "hardware")
+    det = DetectorModel(DetectorKind(b["detector"]), float(b["eta"]))
+    return Hardware(float(b["tau"]), det, float(b["L_att_km"]),
+                    float(b["c_m_per_s"]), float(b["f_hz"]))
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return "" if x is None else repr(x) if isinstance(x, float) else str(x)
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
@@ -158,8 +173,7 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
         return
     w = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
     w.writeheader()
-    for row in rows:
-        w.writerow({k: _fmt(row.get(k)) for k in columns})
+    w.writerows({k: _fmt(row.get(k)) for k in columns} for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +182,20 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
 
 def cmd_perf(config: dict, args) -> tuple[int, list[dict], list[str]]:
     hw = parse_hardware(config)
-    block = _block(config, "perf", {"beta_sq", "L_A_km", "L_B_km", "detectors"})
-    beta_sq = block.get("beta_sq", [0.04])
-    _require(isinstance(beta_sq, list) and beta_sq, "perf.beta_sq must be a nonempty list")
-    T_A, T_B = link_transmittance(_link_geometry(block, hw, "perf"))
-    kinds = _detector_list(block, "perf") or [hw.detector.kind]
+    b = _read_block(config, "perf")
+    T_A, T_B = link_transmittance(_link_geometry(b, hw))
     rows = []
-    for kind in kinds:
+    for kind in map(DetectorKind, b["detectors"] or [hw.detector.kind.value]):
         det = DetectorModel(kind, hw.detector.efficiency)
-        for b2 in beta_sq:
+        for b2 in b["beta_sq"]:
             par = InteractionParams(math.sqrt(float(b2)))
             pf = performance(det, par, T_A, T_B)
             po = performance_oracle(det, par, T_A, T_B)
             rows.append({
-                "detector": kind.value, "beta_sq": float(b2),
-                "T_A": T_A, "T_B": T_B,
-                "eta": det.efficiency,
-                "p": pf.p, "epsilon": pf.epsilon,
-                "p_oracle": po.p, "epsilon_oracle": po.epsilon,
-            })
+                "detector": kind.value, "beta_sq": float(b2), "T_A": T_A,
+                "T_B": T_B, "eta": det.efficiency, "p": pf.p,
+                "epsilon": pf.epsilon, "p_oracle": po.p,
+                "epsilon_oracle": po.epsilon})
     cols = ["detector", "beta_sq", "T_A", "T_B", "eta", "p", "epsilon",
             "p_oracle", "epsilon_oracle"]
     return 0, rows, cols
@@ -194,28 +203,24 @@ def cmd_perf(config: dict, args) -> tuple[int, list[dict], list[str]]:
 
 def cmd_repeater(config: dict, args) -> tuple[int, list[dict], list[str]]:
     hw = parse_hardware(config)
-    geometry = parse_geometry(config)
-    block = _block(config, "repeater", {"L_km", "F_targets", "detectors"})
-    L_grid = _number_list(block, "L_km", [], "repeater")
-    F_targets = _number_list(block, "F_targets", [0.9, 0.7], "repeater")
-    detectors = tuple(_detector_list(block, "repeater")) or (hw.detector.kind,)
-    spec = optimize.SweepSpec(tuple(L_grid), tuple(F_targets), hw, geometry,
-                              detectors)
-    recs = optimize.sweep(spec)
-    rows = []
-    for r in recs:
-        rows.append({
-            "L_km": r.L_km, "F_target": r.F_target,
-            "detector": r.detector.value, "geometry": r.geometry.value,
-            "n_opt": r.n if r.feasible else "",
-            "beta_g_sq": r.beta_g_sq if r.feasible else "",
-            "beta_s_sq": r.beta_s_sq if r.feasible else "",
-            "T_seconds": r.T_seconds if r.feasible else "",
-            "F": r.F_achieved if r.feasible else "",
-            "direct_seconds": r.direct_seconds,
-            "errors": "" if r.feasible else (r.message or "infeasible"),
-            "extras": r.extras,  # JSON only: not a CSV column
-        })
+    geometry = GeometryKind(_read_block(config, "geometry")["kind"])
+    b = _read_block(config, "repeater")
+    detectors = tuple(map(DetectorKind, b["detectors"])) or (hw.detector.kind,)
+    recs = optimize.sweep(optimize.SweepSpec(
+        tuple(map(float, b["L_km"])), tuple(map(float, b["F_targets"])), hw,
+        geometry, detectors))
+    rows = [{
+        "L_km": r.L_km, "F_target": r.F_target,
+        "detector": r.detector.value, "geometry": r.geometry.value,
+        "n_opt": r.n if r.feasible else "",
+        "beta_g_sq": r.beta_g_sq if r.feasible else "",
+        "beta_s_sq": r.beta_s_sq if r.feasible else "",
+        "T_seconds": r.T_seconds if r.feasible else "",
+        "F": r.F_achieved if r.feasible else "",
+        "direct_seconds": r.direct_seconds,
+        "errors": "" if r.feasible else (r.message or "infeasible"),
+        "extras": r.extras,  # JSON only: not a CSV column
+    } for r in recs]
     cols = ["L_km", "F_target", "detector", "geometry", "n_opt", "beta_g_sq",
             "beta_s_sq", "T_seconds", "F", "direct_seconds", "errors"]
     code = 3 if recs and not any(r.feasible for r in recs) else 0
@@ -224,21 +229,14 @@ def cmd_repeater(config: dict, args) -> tuple[int, list[dict], list[str]]:
 
 def cmd_distill(config: dict, args) -> tuple[int, list[dict], list[str]]:
     hw = parse_hardware(config)
-    block = _block(config, "distill", {"F_grid", "beta_sq"})
-    F_grid = _number_list(block, "F_grid",
-                          [round(0.5 + 0.025 * i, 4) for i in range(21)],
-                          "distill")
-    beta_sq = _number_list(block, "beta_sq", DEFAULT_DISTILL_BETA_SQ, "distill")
+    b = _read_block(config, "distill")
     rows = []
-    for b2 in beta_sq:
-        for F in F_grid:
-            res = distill.recurrence_step(F, math.sqrt(b2), hw.tau,
-                                          hw.detector)
+    for b2 in map(float, b["beta_sq"]):
+        for F in map(float, b["F_grid"]):
+            res = distill.recurrence_step(F, math.sqrt(b2), hw.tau, hw.detector)
             # no fidelity for a state that is never produced
-            rows.append({
-                "F": F, "beta_sq": b2, "P_s": res.P_s,
-                "F_prime": res.F_prime if res.P_s > 0.0 else None,
-            })
+            rows.append({"F": F, "beta_sq": b2, "P_s": res.P_s,
+                         "F_prime": res.F_prime if res.P_s > 0.0 else None})
     return 0, rows, ["F", "beta_sq", "P_s", "F_prime"]
 
 
@@ -251,19 +249,16 @@ def _mc_row(quantity: str, head: tuple, mean, se, predicted) -> dict:
     return dict(zip(MC_COLS, (quantity, *head, mean, se, predicted)))
 
 
-def _montecarlo_waiting(block: dict, hw: Hardware, geometry: GeometryKind,
+def _montecarlo_waiting(b: dict, hw: Hardware, geometry: GeometryKind,
                         seed: int, trials: int) -> list[dict]:
-    n = _integer(block, "n", 1, "montecarlo")
+    n = b["n"]
     # reject a chain that no p_s could sample before 2 ** n is formed
     check_chain_depth(n, 1.0)
-    L_km = _number(block, "L_km", 20.0 * 2 ** n, "montecarlo")
-    _require(L_km > 0.0, "montecarlo.L_km must be > 0")
-    if "p_g" in block:
-        p_g = _number(block, "p_g", None, "montecarlo")
-        p_s = _number(block, "p_s", 1.0, "montecarlo")
+    L_km = float(b["L_km"] if b["L_km"] is not None else 20.0 * 2 ** n)
+    if b["p_g"] is not None:
+        p_g, p_s = float(b["p_g"]), float(b["p_s"])
     else:
-        bg = math.sqrt(_number(block, "beta_g_sq", 0.04, "montecarlo", True))
-        bs = math.sqrt(_number(block, "beta_s_sq", 0.04, "montecarlo", True))
+        bg, bs = math.sqrt(float(b["beta_g_sq"])), math.sqrt(float(b["beta_s_sq"]))
         cfg = ChainConfig(L_km, n, bg, bs, hw, geometry)
         p_g = generation_perf(bg, hw, cfg.l0_km, geometry)[0]
         p_s = swap_perf(bs, hw)[0] if n else 1.0
@@ -281,13 +276,10 @@ def _montecarlo_waiting(block: dict, hw: Hardware, geometry: GeometryKind,
     return rows
 
 
-def _montecarlo_rnpm(block: dict, hw: Hardware, seed: int,
-                     trials: int) -> list[dict]:
-    b2 = _number(block, "beta_sq", 0.04, "montecarlo", True)
-    geom = _link_geometry(block, hw, "montecarlo")
-    cfg = optics.ProtocolConfig(InteractionParams(math.sqrt(b2)), geom,
-                                hw.detector)
-    ens = optics.run_protocol(cfg)
+def _montecarlo_rnpm(b: dict, hw: Hardware, seed: int, trials: int) -> list[dict]:
+    beta = InteractionParams(math.sqrt(float(b["beta_sq"])))
+    geom = _link_geometry(b, hw)
+    ens = optics.run_protocol(optics.ProtocolConfig(beta, geom, hw.detector))
     keys = sorted(ens.entries)
     probs = np.clip([ens.entries[k].probability for k in keys], 0.0, None)
     probs = probs / probs.sum()
@@ -309,7 +301,7 @@ def _montecarlo_rnpm(block: dict, hw: Hardware, seed: int,
         succ += int(np.count_nonzero(eps >= 0.0))
         errs += int(np.count_nonzero(u < eps))
     T_A, T_B = link_transmittance(geom)
-    pf = performance(hw.detector, InteractionParams(math.sqrt(b2)), T_A, T_B)
+    pf = performance(hw.detector, beta, T_A, T_B)
     p_hat = succ / trials
     p_se = math.sqrt(max(p_hat * (1 - p_hat), 1e-300) / trials)
     e_hat = errs / succ if succ else 0.0
@@ -321,51 +313,34 @@ def _montecarlo_rnpm(block: dict, hw: Hardware, seed: int,
 
 def cmd_montecarlo(config: dict, args) -> tuple[int, list[dict], list[str]]:
     hw = parse_hardware(config)
-    geometry = parse_geometry(config)
-    block = _block(config, "montecarlo", {
-        "mode", "n", "L_km", "p_g", "p_s", "beta_g_sq", "beta_s_sq", "beta_sq",
-        "L_A_km", "L_B_km", "trials", "seed"})
-    trials = (args.trials if args.trials is not None
-              else _integer(block, "trials", 0, "montecarlo"))
+    geometry = GeometryKind(_read_block(config, "geometry")["kind"])
+    b = _read_block(config, "montecarlo")
+    trials = args.trials if args.trials is not None else b["trials"]
     _require(trials > 0, "montecarlo requires trials > 0")
-    seed = (args.seed if args.seed is not None
-            else _integer(block, "seed", 0, "montecarlo"))
-    mode = block.get("mode", "waiting")
-    _require(mode in ("waiting", "rnpm"), f"unknown montecarlo mode {mode!r}")
-    if mode == "waiting":
-        rows = _montecarlo_waiting(block, hw, geometry, seed, trials)
-    else:
-        rows = _montecarlo_rnpm(block, hw, seed, trials)
-    return 0, rows, MC_COLS
+    seed = args.seed if args.seed is not None else b["seed"]
+    if b["mode"] == "rnpm":
+        return 0, _montecarlo_rnpm(b, hw, seed, trials), MC_COLS
+    return 0, _montecarlo_waiting(b, hw, geometry, seed, trials), MC_COLS
 
 
 def cmd_optics(config: dict, args, out) -> int:
     hw = parse_hardware(config)
-    block = _block(config, "optics", {"beta_sq", "alpha", "theta", "L_A_km",
-                                      "L_B_km", "variant", "initial_state"})
-    geom = _link_geometry(block, hw, "optics")
-    if "alpha" in block or "theta" in block:
-        _require("alpha" in block and "theta" in block,
+    b = _read_block(config, "optics")
+    alpha, theta = b["alpha"], b["theta"]
+    if alpha is not None or theta is not None:
+        _require(alpha is not None and theta is not None,
                  "optics.alpha and optics.theta must be given together")
-        alpha = _number(block, "alpha", None, "optics")
-        theta = _number(block, "theta", None, "optics")
+        alpha, theta = float(alpha), float(theta)
         par = InteractionParams(alpha * math.sin(theta / 2.0), alpha, theta)
     else:
-        par = InteractionParams(
-            math.sqrt(_number(block, "beta_sq", 0.04, "optics", True)))
-    variant = block.get("variant", "central")
-    variants = [v.value for v in optics.Variant]
-    _require(variant in variants,
-             f"optics.variant must be one of {variants}, got {variant!r}")
-    initial = block.get("initial_state")
-    if initial is not None:
-        initial = np.asarray(initial, dtype=complex)
-    cfg = optics.ProtocolConfig(par, geom, hw.detector,
-                                optics.Variant(variant), initial)
+        par = InteractionParams(math.sqrt(float(b["beta_sq"])))
+    initial = b["initial_state"]
+    initial = None if initial is None else np.asarray(initial, dtype=complex)
+    cfg = optics.ProtocolConfig(par, _link_geometry(b, hw), hw.detector,
+                                optics.Variant(b["variant"]), initial)
     ens = optics.run_protocol(cfg)
     doc = {"outcomes": []}
-    for (m, n) in sorted(ens.entries):
-        e = ens.entries[(m, n)]
+    for (m, n), e in sorted(ens.entries.items()):
         rec = {"m": m, "n": n, "probability": e.probability,
                "parity": optics.outcome_parity(m, n)}
         if e.state is not None:
@@ -378,10 +353,6 @@ def cmd_optics(config: dict, args, out) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-TOP_LEVEL_KEYS = {"hardware", "geometry", "perf", "repeater", "distill",
-                  "montecarlo", "optics"}
-
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -409,7 +380,8 @@ def run(argv: list[str], stdout=None) -> int:
         return 2
     try:
         _require(isinstance(config, dict), "config must be a JSON object")
-        _check_keys(config, TOP_LEVEL_KEYS, "config")
+        unknown = set(config) - set(FIELDS)
+        _require(not unknown, f"unknown keys in config: {sorted(unknown)}")
         buf = io.StringIO()
         if args.command == "optics":
             code = cmd_optics(config, args, buf)

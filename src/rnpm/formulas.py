@@ -176,8 +176,10 @@ def link_transmittance(geometry: LinkGeometry) -> tuple[float, float]:
 
 
 def _check_transmittances(T_A: float, T_B: float, eta: float):
-    if not 0.0 < T_A <= 1.0 or not 0.0 < T_B <= 1.0:
-        raise ValueError(f"transmittances must lie in (0, 1], got {T_A}, {T_B}")
+    for arm, T in (("A", T_A), ("B", T_B)):
+        if not 0.0 < T <= 1.0:
+            raise ValueError(f"arm {arm}: transmittance T_{arm} = {T!r} must "
+                             f"lie in (0, 1]")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
 
@@ -247,6 +249,8 @@ def performance_oracle(detector: DetectorModel, params: InteractionParams,
     _check_transmittances(T_A, T_B, eta)
     b2 = params.beta ** 2
     lam = b2 * (1.0 / T_A + 1.0 / T_B)
+    if not lam <= 1e8:  # a tail check sums O(sqrt(lam)) terms; no k_max fits
+        raise TruncationError(f"total photon-number mean {lam} must be <= 1e8")
     if k_max is None:
         k_max = k_max_for(lam, tail)
     if poisson_sf(k_max, lam) > tail:

@@ -68,7 +68,7 @@ def povm_overlap(detector: DetectorModel, m: int, gamma, gamma_prime):
     def resolved(mm: int):
         if mm == 0:
             return np.exp(log_ov - eta * x)
-        live = (x != 0) & (eta != 0.0)
+        live = eta * x != 0  # also 0 where the product underflows
         log_ex = np.log(np.where(live, eta * x, 1.0))
         return np.where(live, np.exp(log_ov - eta * x + mm * log_ex
                                      - math.lgamma(mm + 1)), 0j)[()]
@@ -155,9 +155,12 @@ def _final_branches(config: ProtocolConfig):
     alpha, theta = config.params.resolved()
     T_A, T_B = link_transmittance(config.geometry)
     for arm, T in (("A", T_A), ("B", T_B)):  # before any division by sqrt(T)
-        if not (0.0 < T <= 1.0 and math.isfinite(alpha ** 2 / T)):
+        if not (0.0 < T <= 1.0 and math.isfinite(alpha * alpha / T)):
             raise ValueError(f"arm {arm}: transmittance T_{arm} = {T!r} must "
                              f"lie in (0, 1] with alpha^2/T_{arm} finite")
+    energy = alpha * alpha * (1.0 / T_A + 1.0 / T_B)
+    if not energy < 1e306:  # |pulse differences|^2 stay finite
+        raise ValueError(f"alpha^2 (1/T_A + 1/T_B) = {energy!r} must be < 1e306")
     a0, b0 = alpha / math.sqrt(T_A), alpha / math.sqrt(T_B)
     a = a0 * np.exp(0.5j * theta * SIGN_A)
     b = b0 * np.exp(0.5j * theta * SIGN_B)

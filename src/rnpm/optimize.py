@@ -101,7 +101,7 @@ def time_kernel(ns, L_km: float, F_target: float, hardware: Hardware,
 
     def T_of(beta_s_sq):
         log_ratio = log_target + 2.0 * (N - 1.0) * c_s * beta_s_sq
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             bg2 = np.minimum(-log_ratio / (2.0 * c_g * N), cap)
             T = t_unit / (_success(det.kind, eta, bg2)
                           * _success(det.kind, eta, beta_s_sq) ** n)

@@ -132,6 +132,8 @@ class TestScalars:
 
     def test_direct_transmission_zero_efficiency_never_arrives(self):
         assert direct_transmission_time(100.0, 1e10, 0.0, 22.0) == math.inf
+        # f_hz * eta underflows to 0: the rate is zero, not a division error
+        assert direct_transmission_time(100.0, 1e-300, 1e-300, 22.0) == math.inf
 
     def test_expected_max_geometric(self):
         assert expected_max_geometric(1.0) == pytest.approx(1.0)

@@ -4,15 +4,21 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import traceback
+import warnings
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rnpm.cli import parse_hardware, run
+from rnpm.cli import FIELDS, parse_hardware, run
 from rnpm.formulas import InteractionParams, LinkGeometry
 from rnpm.optics import (ProtocolConfig, outcome_parity, phase_error_split,
                          run_protocol)
@@ -138,7 +144,9 @@ class TestRepeater:
 
     @pytest.mark.parametrize("block", [
         [], {"L_km": [100], "F_targets": 5}, {"L_km": [100], "detectors": 5},
-        {"L_km": [100], "F_targets": [None]}, {"L_km": [None]}])
+        {"L_km": [100], "F_targets": [None]}, {"L_km": [None]},
+        {"L_km": [-5]}, {"L_km": [math.nan]},
+        {"L_km": [100], "F_targets": [1.5]}])
     def test_bad_block_is_config_error(self, tmp_path, capsys, block):
         code, text = invoke(tmp_path, "repeater", {"repeater": block})
         assert code == 2 and text == ""
@@ -312,6 +320,26 @@ class TestOptics:
         code, _ = invoke(tmp_path, "optics", cfg_bad)
         assert code == 2
 
+    def test_initial_state_takes_complex_strings(self, tmp_path):
+        # JSON has no complex type; "1+1j" is |00> up to a global phase
+        code, text = invoke(tmp_path, "optics",
+                            {"optics": {"initial_state": ["1+1j", 0, 0, 0]}})
+        assert code == 0
+        code, plain = invoke(tmp_path, "optics",
+                             {"optics": {"initial_state": [1, 0, 0, 0]}})
+        assert code == 0
+        for o, p in zip(json.loads(text)["outcomes"],
+                        json.loads(plain)["outcomes"]):
+            assert o["probability"] == pytest.approx(p["probability"],
+                                                     abs=1e-15)
+
+    def test_malformed_initial_state_names_the_field(self, tmp_path, capsys):
+        code, text = invoke(tmp_path, "optics", {"optics": {"initial_state": "x"}})
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("config error: optics.initial_state must be")
+        assert "complex() arg" not in err
+
 
 class TestConfigHandling:
     def test_unknown_top_level_key(self, tmp_path):
@@ -357,12 +385,53 @@ class TestConfigHandling:
         ("montecarlo", {"montecarlo": {"beta_g_sq": True, "trials": 10}}),
         ("montecarlo", {"montecarlo": {"mode": "rnpm", "L_A_km": 1e5,
                                        "trials": 10}}),
+        ("distill", {"distill": {"beta_sq": [-1]}}),
+        ("montecarlo", {"montecarlo": {"p_g": 0, "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"p_g": 1.5, "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"p_g": 0.5, "p_s": 0, "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"mode": 3, "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"n": -1, "p_g": 0.5, "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"p_g": 0.5, "seed": -1, "trials": 10}}),
+        ("montecarlo", {"montecarlo": {"L_km": 1e308, "trials": 10}}),
+        ("optics", {"optics": {"initial_state": "x"}}),
+        ("optics", {"optics": {"initial_state": ["x", 0, 0, 0]}}),
+        ("optics", {"optics": {"initial_state": {}}}),
+        ("optics", {"optics": {"beta_sq": 1e308}}),
+        ("optics", {"optics": {"alpha": 1e308, "theta": 1.0}}),
+        ("perf", {"perf": {"L_A_km": 1e5}}),
+        ("perf", {"perf": {"beta_sq": [1e308]}}),
     ])
     def test_bad_scalar_is_config_error(self, tmp_path, capsys, command, cfg):
         code, text = invoke(tmp_path, command, cfg)
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error:")
+
+    @pytest.mark.parametrize("command, cfg, named", [
+        ("repeater", {"repeater": {"L_km": [-5]}}, "repeater.L_km"),
+        ("repeater", {"repeater": {"L_km": [math.nan]}}, "repeater.L_km"),
+        ("repeater", {"repeater": {"L_km": [100], "F_targets": [1.5]}},
+         "repeater.F_targets"),
+        ("distill", {"distill": {"beta_sq": [-1]}}, "distill.beta_sq"),
+        ("montecarlo", {"montecarlo": {"p_g": 0, "trials": 10}},
+         "montecarlo.p_g"),
+        ("montecarlo", {"montecarlo": {"p_g": 0.5, "p_s": 1.5, "trials": 10}},
+         "montecarlo.p_s"),
+        ("montecarlo", {"montecarlo": {"mode": 3, "trials": 10}},
+         "montecarlo.mode"),
+        ("montecarlo", {"montecarlo": {"n": -1, "p_g": 0.5, "trials": 10}},
+         "montecarlo.n"),
+        ("perf", {"perf": {"L_A_km": 1e5}}, "arm A: transmittance T_A = 0.0"),
+        ("perf", {"perf": {"L_B_km": 1e5}}, "arm B: transmittance T_B = 0.0"),
+        ("montecarlo", {"montecarlo": {"L_km": 1e308, "trials": 10}},
+         "arm A: transmittance T_A = 0.0"),
+    ])
+    def test_message_names_the_field(self, tmp_path, capsys, command, cfg,
+                                     named):
+        code, text = invoke(tmp_path, command, cfg)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {named}")
 
     def test_truncation_is_config_error(self, tmp_path, capsys):
         code, text = invoke(tmp_path, "perf", {"perf": {"beta_sq": [1e6]}})
@@ -409,3 +478,123 @@ def test_import_loads_no_scipy():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True)
     assert r.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Tracebacks that stay: perfbench/test_perfbench.py uses both as failure
+# fixtures, and perfbench/ changes only with ROADMAP item 9. Each test states
+# the wanted exit code and is expected to fail with the pinned exception.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, raises=TypeError,
+                   reason="perf.beta_sq elements are unchecked until ROADMAP "
+                          "item 9 replaces the perf-null fixture")
+def test_pinned_perf_beta_sq_null_element(tmp_path):
+    assert invoke(tmp_path, "perf", {"perf": {"beta_sq": [None]}})[0] == 2
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="direct_transmission_time overflows until ROADMAP "
+                          "item 9 replaces the repeater-far fixture")
+@pytest.mark.parametrize("cfg", [
+    {"repeater": {"L_km": [16000]}}, {"repeater": {"L_km": [20000]}},
+    # the same overflow: L / L_att_km past log(float max)
+    {"hardware": {"L_att_km": 1e-300}, "repeater": {"L_km": [100]}}])
+def test_pinned_repeater_far_overflow(tmp_path, cfg):
+    assert invoke(tmp_path, "repeater", cfg)[0] == 2
+
+
+#: (exception, command, function raising it) of the pinned tracebacks above
+PINNED = {(TypeError, "perf", "cmd_perf"),
+          (OverflowError, "repeater", "direct_transmission_time")}
+DETECTORS = ["number_resolving", "single_photon", "threshold"]
+# ROADMAP item 5 will bound the cost of montecarlo.trials, and of
+# optics.beta_sq / alpha with number-resolving detectors: the base trials
+# stay small, and no edge value lies between 1 and 1e306, where beta_sq is
+# still accepted and the outcome grid grows as beta^4.
+#: case -> (command, blocks it reads, base config)
+EDGE_CASES = {
+    "perf": ("perf", ("hardware", "perf"), {}),
+    "repeater": ("repeater", ("hardware", "geometry", "repeater"),
+                 {"repeater": {"L_km": [100], "F_targets": [0.9]}}),
+    "distill": ("distill", ("hardware", "distill"),
+                {"distill": {"F_grid": [0.9], "beta_sq": [0.04]}}),
+    "waiting": ("montecarlo", ("hardware", "geometry", "montecarlo"),
+                {"montecarlo": {"trials": 64}}),
+    "rnpm": ("montecarlo", ("hardware", "montecarlo"),
+             {"montecarlo": {"mode": "rnpm", "trials": 64}}),
+    "optics": ("optics", ("hardware", "optics"), {}),
+    "optics-local": ("optics", ("hardware", "optics"),
+                     {"optics": {"variant": "local"}}),
+}
+EDGE = [None, True, False, "x", {}, 0, -1, 0.5, 1e-300, math.nan, 1e308]
+
+
+def assert_exit_code(tmp_path, capsys, command, config):
+    """Exit 0, 2 or 3 with at most one stderr line and strict JSON output,
+    or one of the pinned tracebacks."""
+    capsys.readouterr()
+    try:
+        # the CLI prints each warning as two more stderr lines
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = invoke(tmp_path, command, config, "--format", "json")
+    except (TypeError, OverflowError) as exc:
+        where = traceback.extract_tb(exc.__traceback__)[-1].name
+        assert (type(exc), command, where) in PINNED, (config, repr(exc))
+        return
+    err = capsys.readouterr().err
+    assert not caught, (config, [str(w.message) for w in caught])
+    assert code in (0, 2, 3) and err.count("\n") <= 1, (config, err)
+    if code != 2:
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        json.loads(text, parse_constant=no_constants)
+
+
+def edge_config(case: str, detector: str, values: dict) -> dict:
+    config = json.loads(json.dumps(EDGE_CASES[case][2]))
+    config["hardware"] = {"detector": detector}
+    for (block, field), value in values.items():
+        config.setdefault(block, {})[field] = value
+    return config
+
+
+@pytest.mark.parametrize("case, block, field", [
+    (case, block, field) for case, (_, blocks, _) in EDGE_CASES.items()
+    for block in blocks for field in FIELDS[block]])
+def test_each_field_edge_value_ends_in_an_exit_code(tmp_path, capsys, case,
+                                                    block, field):
+    for i, value in enumerate(EDGE + [[v] for v in EDGE]):
+        config = edge_config(case, DETECTORS[i % 3], {(block, field): value})
+        assert_exit_code(tmp_path, capsys, EDGE_CASES[case][0], config)
+
+
+@st.composite
+def edge_combinations(draw):
+    case = draw(st.sampled_from(sorted(EDGE_CASES)))
+    fields = [(b, f) for b in EDGE_CASES[case][1] for f in FIELDS[b]]
+    chosen = draw(st.lists(st.sampled_from(fields), min_size=2, max_size=3,
+                           unique=True))
+    value = st.sampled_from(EDGE) | st.lists(st.sampled_from(EDGE), max_size=3)
+    return EDGE_CASES[case][0], edge_config(
+        case, draw(st.sampled_from(DETECTORS)),
+        {key: draw(value) for key in chosen})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=edge_combinations())
+def test_edge_value_combinations_end_in_an_exit_code(tmp_path, capsys, case):
+    assert_exit_code(tmp_path, capsys, *case)
+
+
+def test_readme_table_matches_the_field_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| .* \| (.+) \|$", readme,
+                      re.MULTILINE)
+    assert {(b, f): rule for b, f, rule in rows} == {
+        (b, f): text for b, fields in FIELDS.items()
+        for f, (_, (text, _)) in fields.items()}
+    assert len(rows) == sum(map(len, FIELDS.values()))

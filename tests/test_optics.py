@@ -1,6 +1,7 @@
 """Coherent-branch protocol engine against the truncated-Fock oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,25 @@ def test_long_arm_matches_closed_form(kind):
     p, eps = ensemble_performance(ens)
     assert p == pytest.approx(pf.p, abs=1e-10)
     assert eps == pytest.approx(pf.epsilon, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_underflowing_efficiency_matches_a_blind_detector(kind):
+    # eta * x underflows to 0 for eta = 1e-300: no log(0) warning, and the
+    # counts are those of eta = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = run_protocol(config(kind, eta=1e-300))
+    compare_ensembles(tiny, run_protocol(config(kind, eta=0.0)), 1e-15)
+
+
+def test_pulse_energy_past_float_range_is_refused():
+    # alpha^2 = 1e306 is finite, but |pulse differences|^2 would overflow
+    for params in (InteractionParams(1e153), InteractionParams(
+            1e153 * math.sin(1.0), 1e153, 2.0)):
+        cfg = config(DetectorKind.THRESHOLD, params=params, geometry=LOSSLESS)
+        with pytest.raises(ValueError, match=r"alpha\^2 \(1/T_A \+ 1/T_B\)"):
+            run_protocol(cfg)
 
 
 class TestLosslessIdentity:
