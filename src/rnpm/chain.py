@@ -17,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .formulas import DetectorModel, InteractionParams, performance
+from .formulas import (DetectorModel, InteractionParams, LinkGeometry,
+                       link_transmittance, performance)
 
 
 class GeometryKind(Enum):
@@ -67,11 +68,9 @@ class ChainResult:
 def generation_transmittances(hardware: Hardware, l0_km: float,
                               geometry: GeometryKind) -> tuple[float, float]:
     """(T_A, T_B) of the two arms of one elementary link."""
-    hw = hardware
-    if geometry is GeometryKind.MIDPOINT:
-        T = hw.tau * math.exp(-l0_km / (2.0 * hw.L_att_km))
-        return T, T
-    return hw.tau * math.exp(-l0_km / hw.L_att_km), hw.tau
+    L_A = l0_km / 2.0 if geometry is GeometryKind.MIDPOINT else l0_km
+    return link_transmittance(LinkGeometry(L_A, l0_km - L_A, hardware.L_att_km,
+                                           hardware.tau))
 
 
 def generation_perf(beta_g: float, hardware: Hardware, l0_km: float,
@@ -123,31 +122,23 @@ def chain_iterated(config: ChainConfig) -> ChainResult:
                        t_levels=t_levels)
 
 
+def nested_time(t0, p_s, n):
+    """Average time t0 (3/2)^n / p_s^n of a chain of nesting level n whose
+    elementary links take t0 on average; broadcasts over arrays."""
+    return t0 * 1.5 ** n / p_s ** n
+
+
 def chain_closed_form(config: ChainConfig) -> ChainResult:
     """Closed-form total time and final fidelity of the nested chain."""
-    p_g, eps0 = generation_perf(config.beta_g, config.hardware, config.l0_km,
-                                config.geometry)
-    if p_g <= 0.0:
-        raise ValueError("generation success probability is zero")
-    N = 2 ** config.n  # = L / l0
-    t0 = (config.l0_km * 1e3 / config.hardware.c_m_per_s) / p_g
-    if config.n == 0:
-        T = t0
-        two_f = (1.0 - 2.0 * eps0)
-        eps_levels = [eps0]
-        t_levels = [t0]
-    else:
-        p_s, eps_s = swap_perf(config.beta_s, config.hardware)
-        T = t0 * 1.5 ** config.n / p_s ** config.n
-        two_f = (1.0 - 2.0 * eps0) ** N * (1.0 - 2.0 * eps_s) ** (N - 1)
-        eps_levels = [eps0]
-        t_levels = [t0]
-        for j in range(1, config.n + 1):
-            eps_levels.append(
-                0.5 * (1.0 - (1.0 - 2.0 * eps0) ** (2 ** j)
-                       * (1.0 - 2.0 * eps_s) ** (2 ** j - 1)))
-            t_levels.append(t0 * 1.5 ** j / p_s ** j)
-    return ChainResult(T_avg=T, F=(1.0 + two_f) / 2.0, eps_levels=eps_levels,
+    eps0, t0 = generation_step(config)
+    p_s, eps_s = swap_perf(config.beta_s, config.hardware)
+    levels = range(config.n + 1)
+    # 2F - 1 = (1 - 2 eps0)^N (1 - 2 eps_s)^(N - 1) at level j, N = 2^j
+    two_f = [(1.0 - 2.0 * eps0) ** 2 ** j * (1.0 - 2.0 * eps_s) ** (2 ** j - 1)
+             for j in levels]
+    t_levels = [nested_time(t0, p_s, j) for j in levels]
+    return ChainResult(T_avg=t_levels[-1], F=(1.0 + two_f[-1]) / 2.0,
+                       eps_levels=[eps0] + [0.5 * (1.0 - q) for q in two_f[1:]],
                        t_levels=t_levels)
 
 

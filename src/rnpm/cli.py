@@ -76,6 +76,7 @@ def _one_of(values: list):
 
 _COUNT = _num("an integer >= 0", lambda x: isinstance(x, int) and x >= 0)
 _NONNEG = _num("a number >= 0", lambda x: x >= 0.0)
+_FINITE = _num("a finite number", math.isfinite)
 _POSITIVE = _num("a finite number > 0", lambda x: 0.0 < x < math.inf)
 _PROBABILITY = _num("a number in (0, 1]", lambda x: 0.0 < x <= 1.0)
 _DETECTORS = [k.value for k in DetectorKind]
@@ -125,7 +126,7 @@ FIELDS = {
     },
     "optics": {
         "beta_sq": (0.04, _NONNEG),
-        "alpha": (None, _num("a number")), "theta": (None, _num("a number")),
+        "alpha": (None, _NONNEG), "theta": (None, _FINITE),
         "L_A_km": (0.0, _NONNEG), "L_B_km": (0.0, _NONNEG),
         "variant": ("central", _one_of([v.value for v in optics.Variant])),
         "initial_state": (None, ("a list of 4 entries or 4 lists of 4 entries, "
@@ -134,12 +135,14 @@ FIELDS = {
 }
 
 
-def _read_block(config: dict, name: str) -> dict:
-    """The block's value for every field of FIELDS[name], checked."""
+def _read_block(config: dict, name: str, **overrides) -> dict:
+    """The block's value for every field of FIELDS[name], checked. A non-None
+    override, from a command-line option, replaces the block's value."""
     block = config.get(name, {})
     _require(isinstance(block, dict), f"{name} must be an object")
     unknown = set(block) - set(FIELDS[name])
     _require(not unknown, f"unknown keys in {name}: {sorted(unknown)}")
+    block = {**block, **{k: v for k, v in overrides.items() if v is not None}}
     values = {}
     for key, (default, (text, ok)) in FIELDS[name].items():
         value = values[key] = block.get(key, default)
@@ -265,7 +268,8 @@ def _montecarlo_waiting(b: dict, hw: Hardware, geometry: GeometryKind,
     samples = simulate_waiting_time(n, p_g, p_s, seed, trials)
     mean, se = waiting_time_stats(samples)
     unit = (L_km / 2 ** n) * 1e3 / hw.c_m_per_s
-    predicted = 1.5 ** n / (p_g * p_s ** n) if n else 1.0 / p_g
+    # not chain.nested_time: its order moves a last digit the benchmark pins
+    predicted = 1.5 ** n / (p_g * p_s ** n)
     head = (n, p_g, p_s, trials, seed)
     rows = [_mc_row("waiting_time_units", head, mean, se, predicted),
             _mc_row("waiting_time_seconds", head, mean * unit, se * unit,
@@ -314,10 +318,9 @@ def _montecarlo_rnpm(b: dict, hw: Hardware, seed: int, trials: int) -> list[dict
 def cmd_montecarlo(config: dict, args) -> tuple[int, list[dict], list[str]]:
     hw = parse_hardware(config)
     geometry = GeometryKind(_read_block(config, "geometry")["kind"])
-    b = _read_block(config, "montecarlo")
-    trials = args.trials if args.trials is not None else b["trials"]
+    b = _read_block(config, "montecarlo", trials=args.trials, seed=args.seed)
+    trials, seed = b["trials"], b["seed"]
     _require(trials > 0, "montecarlo requires trials > 0")
-    seed = args.seed if args.seed is not None else b["seed"]
     if b["mode"] == "rnpm":
         return 0, _montecarlo_rnpm(b, hw, seed, trials), MC_COLS
     return 0, _montecarlo_waiting(b, hw, geometry, seed, trials), MC_COLS
@@ -331,7 +334,9 @@ def cmd_optics(config: dict, args, out) -> int:
         _require(alpha is not None and theta is not None,
                  "optics.alpha and optics.theta must be given together")
         alpha, theta = float(alpha), float(theta)
-        par = InteractionParams(alpha * math.sin(theta / 2.0), alpha, theta)
+        beta = alpha * math.sin(theta / 2.0)
+        _require(beta >= 0.0, "optics.alpha * sin(optics.theta / 2) must be >= 0")
+        par = InteractionParams(beta, alpha, theta)
     else:
         par = InteractionParams(math.sqrt(float(b["beta_sq"])))
     initial = b["initial_state"]

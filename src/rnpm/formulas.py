@@ -193,16 +193,27 @@ def epsilon_rate(detector: DetectorModel, T_A: float, T_B: float) -> float:
     return 1.0 / T_A + 1.0 / T_B - 2.0 * eta
 
 
+def success_probability(kind: DetectorKind, eta, beta_sq):
+    """p of one attempt, x e^{-x} for single-photon detectors and 1 - e^{-x}
+    otherwise, with x = 2 beta^2 eta; broadcasts over arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = 2.0 * beta_sq * eta
+        return x * np.exp(-x) if kind is DetectorKind.SINGLE_PHOTON else -np.expm1(-x)
+
+
+def success_peak(detector: DetectorModel) -> float:
+    """beta^2 of the single-photon success peak 1/(2 eta); inf otherwise."""
+    if detector.kind is DetectorKind.SINGLE_PHOTON and detector.efficiency > 0.0:
+        return 1.0 / (2.0 * detector.efficiency)
+    return math.inf
+
+
 def performance(detector: DetectorModel, params: InteractionParams,
                 T_A: float, T_B: float) -> PerfPoint:
     """Closed-form (p, epsilon) of one attempt for the given detector type."""
-    eta = detector.efficiency
     b2 = params.beta ** 2
     eps = -0.5 * math.expm1(-2.0 * b2 * epsilon_rate(detector, T_A, T_B))
-    if detector.kind is DetectorKind.SINGLE_PHOTON:
-        p = 2.0 * b2 * eta * math.exp(-2.0 * b2 * eta)
-    else:
-        p = -math.expm1(-2.0 * b2 * eta)
+    p = float(success_probability(detector.kind, detector.efficiency, b2))
     return PerfPoint(p=p, epsilon=eps)
 
 

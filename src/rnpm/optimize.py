@@ -14,9 +14,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import (ChainConfig, GeometryKind, Hardware, chain_closed_form,
-                    direct_transmission_time, generation_transmittances)
+                    direct_transmission_time, generation_transmittances,
+                    nested_time)
 from .chain import generation_perf  # noqa: F401  (kept importable here)
-from .formulas import DetectorKind, DetectorModel, epsilon_rate
+from .formulas import (DetectorKind, epsilon_rate, success_peak,
+                       success_probability)
 
 N_MAX = 20
 BETA_SQ_LO = 1e-6
@@ -62,19 +64,6 @@ class OptimumRecord:
     extras: dict = field(default_factory=dict)
 
 
-def _success(kind: DetectorKind, eta: float, beta_sq):
-    """Success probability p of ``performance``, on arrays of beta^2."""
-    x = 2.0 * eta * beta_sq
-    return x * np.exp(-x) if kind is DetectorKind.SINGLE_PHOTON else -np.expm1(-x)
-
-
-def _success_peak(det: DetectorModel) -> float:
-    """beta^2 of the single-photon success peak 1/(2 eta); inf otherwise."""
-    if det.kind is DetectorKind.SINGLE_PHOTON and det.efficiency > 0.0:
-        return 1.0 / (2.0 * det.efficiency)
-    return math.inf
-
-
 def time_kernel(ns, L_km: float, F_target: float, hardware: Hardware,
                 geometry: GeometryKind):
     """T(beta_s^2) of the chains of nesting levels ``ns`` at fidelity F_target.
@@ -95,16 +84,17 @@ def time_kernel(ns, L_km: float, F_target: float, hardware: Hardware,
     c_s = epsilon_rate(det, hardware.tau, hardware.tau)
     c_g = np.reshape([epsilon_rate(det, *generation_transmittances(
         hardware, L_km / m, geometry)) for m in N.ravel()], N.shape)
-    cap = min(BETA_SQ_HI, _success_peak(det))
+    cap = min(BETA_SQ_HI, success_peak(det))
     log_target = math.log(max(2.0 * F_target - 1.0, 1e-15))
-    t_unit = L_km / N * 1e3 / hardware.c_m_per_s * 1.5 ** n
+    unit = L_km / N * 1e3 / hardware.c_m_per_s  # l0 / c
+    slope, scale = 2.0 * (N - 1.0) * c_s, -2.0 * c_g * N
 
     def T_of(beta_s_sq):
-        log_ratio = log_target + 2.0 * (N - 1.0) * c_s * beta_s_sq
+        log_ratio = log_target + slope * beta_s_sq
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            bg2 = np.minimum(-log_ratio / (2.0 * c_g * N), cap)
-            T = t_unit / (_success(det.kind, eta, bg2)
-                          * _success(det.kind, eta, beta_s_sq) ** n)
+            bg2 = np.minimum(log_ratio / scale, cap)
+            T = nested_time(unit / success_probability(det.kind, eta, bg2),
+                            success_probability(det.kind, eta, beta_s_sq), n)
         return np.where(log_ratio < 0.0, T, math.inf), bg2
 
     return T_of
@@ -168,7 +158,7 @@ def optimize_chain(L_km: float, F_target: float, hardware: Hardware,
     rec.T_seconds, rec.F_achieved = res.T_avg, res.F
     rec.extras.update(
         n_at_max=n == n_max, beta_g_sq_at_hi=bg2 == BETA_SQ_HI,
-        beta_g_sq_at_peak=bg2 == _success_peak(hardware.detector),
+        beta_g_sq_at_peak=bg2 == success_peak(hardware.detector),
         beta_s_sq_at_grid_edge=bool(n and i[n, 0] in (0, len(_GRID) - 1)),
         refine_steps=int(steps[n, 0]) if n else 0)
     return rec

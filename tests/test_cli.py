@@ -262,6 +262,17 @@ class TestMontecarlo:
         assert float(rows[0]["empirical_mean"]) == succ / trials
         assert float(rows[1]["empirical_mean"]) == errs / succ
 
+    @pytest.mark.parametrize("n, p_g, p_s, predicted", [
+        (4, 0.15, 0.12, "162760.41666666672"),
+        (6, 0.2, 0.2, "889892.5781249995")])
+    def test_waiting_prediction_is_pinned(self, tmp_path, n, p_g, p_s,
+                                          predicted):
+        # the benchmark's reference outputs hold these bytes
+        cfg = {"montecarlo": {"n": n, "p_g": p_g, "p_s": p_s, "trials": 1}}
+        code, text = invoke(tmp_path, "montecarlo", cfg)
+        assert code == 0
+        assert parse_csv(text)[1][0]["predicted"] == predicted
+
     def test_negative_level_is_config_error(self, tmp_path):
         cfg = {"montecarlo": {"n": -1, "p_g": 0.5, "trials": 10}}
         code, _ = invoke(tmp_path, "montecarlo", cfg)
@@ -425,10 +436,22 @@ class TestConfigHandling:
         ("perf", {"perf": {"L_B_km": 1e5}}, "arm B: transmittance T_B = 0.0"),
         ("montecarlo", {"montecarlo": {"L_km": 1e308, "trials": 10}},
          "arm A: transmittance T_A = 0.0"),
+        # command-line overrides are checked by their field's rule
+        ("montecarlo --seed -1", {"montecarlo": {"p_g": 0.5, "trials": 10}},
+         "montecarlo.seed must be an integer >= 0"),
+        (f"montecarlo --trials {10 ** 400}", {"montecarlo": {"p_g": 0.5}},
+         "montecarlo.trials must be an integer"),
+        ("optics", {"optics": {"alpha": -1, "theta": 1}},
+         "optics.alpha must be a number >= 0"),
+        ("optics", {"optics": {"alpha": 1, "theta": -1}},
+         "optics.alpha * sin(optics.theta / 2) must be >= 0"),
+        ("optics", {"optics": {"alpha": 1, "theta": math.nan}},
+         "optics.theta must be a finite number"),
     ])
     def test_message_names_the_field(self, tmp_path, capsys, command, cfg,
                                      named):
-        code, text = invoke(tmp_path, command, cfg)
+        command, *extra = command.split()
+        code, text = invoke(tmp_path, command, cfg, *extra)
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"config error: {named}")

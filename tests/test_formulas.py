@@ -12,7 +12,7 @@ from rnpm.formulas import (DetectorKind, DetectorModel, InteractionParams,
                            binomial_pmf, k_max_for,
                            link_transmittance, performance,
                            performance_oracle, poisson_cutoff, poisson_pmf,
-                           poisson_sf)
+                           poisson_sf, success_peak, success_probability)
 
 ALL_KINDS = list(DetectorKind)
 
@@ -166,6 +166,42 @@ class TestClosedForms:
                                       0.9, 0.9).p
         assert p_at(peak) > p_at(peak * 0.8)
         assert p_at(peak) > p_at(peak * 1.2)
+        assert success_peak(det) == peak
+
+
+def performance_libm(kind: DetectorKind, eta: float, beta: float, T_A: float,
+                     T_B: float) -> tuple[float, float]:
+    """(p, epsilon) as the closed forms read on math's libm calls."""
+    b2 = beta ** 2
+    c = 1.0 / T_A + 1.0 / T_B - (eta if kind is DetectorKind.THRESHOLD
+                                 else 2.0 * eta)
+    eps = -0.5 * math.expm1(-2.0 * b2 * c)
+    if kind is DetectorKind.SINGLE_PHOTON:
+        return 2.0 * b2 * eta * math.exp(-2.0 * b2 * eta), eps
+    return -math.expm1(-2.0 * b2 * eta), eps
+
+
+class TestSuccessProbability:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS), b2=st.floats(0.0, 10.0),
+           eta=st.floats(0.0, 1.0), T_A=st.floats(1e-4, 1.0),
+           T_B=st.floats(1e-4, 1.0))
+    def test_performance_matches_libm_forms(self, kind, b2, eta, T_A, T_B):
+        # numpy's exp and expm1 may differ from libm's in the last 2 ulp
+        beta = math.sqrt(b2)
+        p, eps = performance_libm(kind, eta, beta, T_A, T_B)
+        pt = performance(DetectorModel(kind, eta), InteractionParams(beta),
+                         T_A, T_B)
+        assert pt.epsilon == eps
+        assert abs(pt.p - p) <= 2 * math.ulp(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS), eta=st.floats(0.0, 1.0),
+           b2s=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40))
+    def test_array_call_matches_scalar_calls(self, kind, eta, b2s):
+        p = success_probability(kind, eta, np.array(b2s))
+        assert p.tolist() == [float(success_probability(kind, eta, b2))
+                              for b2 in b2s]
 
 
 class TestOracleAgreement:
