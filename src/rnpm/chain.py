@@ -9,9 +9,9 @@ transmission baseline and a discrete-event Monte Carlo of the waiting time.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -177,7 +177,10 @@ def expected_max_geometric(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 _BLOCK = 64  # trials per RNG block; fixed so results are worker-independent
-_CHUNK = 1 << 20  # level-0 pairs drawn at once by the streaming level-1 kernel
+#: level-0 pairs handled at once: one batch of whole blocks, or one piece of a
+#: larger block's stream. On 2 vCPU, 2^12 ran deep chains about 30% slower,
+#: and 2^16 raised the peak RSS of a 200k-trial n = 1 run by about 4 MB
+_CHUNK = 1 << 14
 #: log2 of the cap on one block's expected level-1 count: 2^26 is about 10x
 #: the n=6, p_s=0.2 chain, and the level-1 arrays are what fills memory
 _MAX_LEVEL1_LOG2 = 26
@@ -190,31 +193,36 @@ _INT64_MAX = np.iinfo(np.int64).max
 _INT64_LIMIT = 2.0 ** 63  # numpy's inversion returns INT64_MAX from here up
 
 
-def _pair_max_chunks(rng: np.random.Generator, p: float, pairs: int):
-    """Yield the max of each consecutive pair of ``2 * pairs`` geometric(p)
-    draws, ``_CHUNK`` pairs at a time, bit for bit as ``rng.geometric``.
+def _draw(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """``size`` level-0 draws: geometric(p) values or, below
+    ``_GEOMETRIC_SEARCH_P``, the exponentials that numpy's geometric inverts."""
+    if p >= _GEOMETRIC_SEARCH_P:
+        return rng.geometric(p, size=size)
+    return rng.standard_exponential(size)
+
+
+def _geometric(x: np.ndarray, p: float) -> np.ndarray:
+    """geometric(p) values from `_draw` values, bit for bit as ``rng.geometric``.
 
     Below ``_GEOMETRIC_SEARCH_P`` numpy's geometric is
     ``ceil(-standard_exponential() / log1p(-p))``, clamped to INT64_MAX.
-    Division by a positive constant and ceil are monotone, so the max is
-    taken on the exponentials and the log1p division runs once per pair.
+    Division by a positive constant and ceil are monotone, so a max of
+    draws may be taken first, which halves the divisions.
     """
-    for start in range(0, pairs, _CHUNK):
-        size = min(_CHUNK, pairs - start)
-        if p >= _GEOMETRIC_SEARCH_P:
-            g = rng.geometric(p, size=2 * size)
-            yield np.maximum(g[0::2], g[1::2])
-            continue
-        e = rng.standard_exponential(2 * size)
-        z = np.ceil(np.maximum(e[0::2], e[1::2]) / -math.log1p(-p))
-        if z.max() < _INT64_LIMIT:
-            yield z.astype(np.int64)
-            continue
-        big = z >= _INT64_LIMIT
-        z[big] = 0.0
-        pm = z.astype(np.int64)
-        pm[big] = _INT64_MAX
-        yield pm
+    if p >= _GEOMETRIC_SEARCH_P:
+        return x
+    z = np.ceil(x / -math.log1p(-p))
+    if z.max() < _INT64_LIMIT:
+        return z.astype(np.int64)
+    big = z >= _INT64_LIMIT
+    z[big] = 0.0
+    g = z.astype(np.int64)
+    g[big] = _INT64_MAX
+    return g
+
+
+def _pair_max(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x[0::2], x[1::2])
 
 
 def _slot_sums(pair_maxes, attempts: np.ndarray) -> np.ndarray:
@@ -238,27 +246,61 @@ def _slot_sums(pair_maxes, attempts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _sample_block(seed: int, block: int, count: int, n: int, p_g: float,
-                  p_s: float) -> np.ndarray:
-    """Completion times of ``count`` chains of nesting level ``n``.
+def _upper_levels(pair_maxes, attempts: list) -> np.ndarray:
+    """Slot sums of the level-0 pair maxima, then of each level above."""
+    times = _slot_sums(pair_maxes, attempts.pop())
+    while attempts:
+        times = _slot_sums([_pair_max(times)], attempts.pop())
+    return times
+
+
+def _batch_times(batch: list, n: int, p_g: float) -> np.ndarray:
+    """Completion times of a batch of blocks' ``(attempts, draws)``, joined
+    level by level; a lone block is not copied.  Each level below the top
+    has an even length per block, so no pair or slot straddles two blocks."""
+    def cat(arrays):
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    attempts, draws = zip(*batch)
+    batch.clear()
+    attempts, draws = [cat(level) for level in zip(*attempts)], cat(draws)
+    if n == 0:
+        return _geometric(draws, p_g)
+    return _upper_levels([_geometric(_pair_max(draws), p_g)], attempts)
+
+
+def _sample_blocks(seed: int, blocks: range, trials: int, n: int,
+                   p_g: float, p_s: float) -> list:
+    """Completion times of consecutive blocks, as one array per batch.
 
     Level j >= 1 retries geometric(p_s) times; each attempt waits for the
-    max of two level-(j-1) times.  All attempts are drawn top down first,
-    then the level-0 draws, which is the order of a depth-first recursion;
-    only the level-0 draws, the bulk of the work, are streamed.
+    max of two level-(j-1) times.  A block draws all its attempts top down,
+    then its level-0 draws, as a depth-first recursion would.  Runs of
+    blocks with at most ``_CHUNK`` level-0 pairs in all form one batch, and
+    everything after the draws runs once per batch.  A block with more
+    pairs is a batch of its own and streams its level-0 draws.
     """
-    rng = np.random.default_rng([seed, block])
-    if n == 0:
-        return rng.geometric(p_g, size=count)
-    attempts = [rng.geometric(p_s, size=count)]
-    for _ in range(n - 1):
-        attempts.append(rng.geometric(p_s, size=2 * int(attempts[-1].sum())))
-    pairs = int(attempts[-1].sum())
-    times = _slot_sums(_pair_max_chunks(rng, p_g, pairs), attempts.pop())
-    while attempts:
-        times = _slot_sums([np.maximum(times[0::2], times[1::2])],
-                           attempts.pop())
-    return times
+    parts, batch, pairs = [], [], 0
+    for block in blocks:
+        count = min(_BLOCK, trials - block * _BLOCK)
+        rng = np.random.default_rng([seed, block])
+        attempts = [rng.geometric(p_s, size=count)] if n else []
+        for _ in range(n - 1):
+            attempts.append(rng.geometric(p_s, size=2 * int(attempts[-1].sum())))
+        size = int(attempts[-1].sum()) if n else count
+        if batch and pairs + size > _CHUNK:
+            parts.append(_batch_times(batch, n, p_g))
+            pairs = 0
+        if n and size > _CHUNK:
+            pieces = (_draw(rng, p_g, 2 * min(_CHUNK, size - i))
+                      for i in range(0, size, _CHUNK))
+            parts.append(_upper_levels(
+                (_geometric(_pair_max(d), p_g) for d in pieces), attempts))
+        else:
+            batch.append((attempts, _draw(rng, p_g, 2 * size if n else count)))
+            pairs += size
+    if batch:
+        parts.append(_batch_times(batch, n, p_g))
+    return parts
 
 
 def worker_count() -> int:
@@ -268,8 +310,9 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def check_chain_depth(n: int, p_s: float) -> None:
-    """Refuse a chain whose 64-trial block is too large to sample.
+def check_chain_depth(n: int, p_s: float) -> float:
+    """Refuse a chain whose 64-trial block is too large to sample; return
+    log2 of the level-0 pairs one block expects.
 
     One block expects 64 (2/p_s)^(n-1) level-1 links, which bound memory,
     and 64 2^(n-1) / p_s^n level-0 pairs, which bound time.
@@ -283,6 +326,7 @@ def check_chain_depth(n: int, p_s: float) -> None:
                          f"and 2^{level0_log2:.1f} level-0 pairs, above the "
                          f"limits of 2^{_MAX_LEVEL1_LOG2} and "
                          f"2^{_MAX_LEVEL0_LOG2}")
+    return level0_log2
 
 
 def simulate_waiting_time(n: int, p_g: float, p_s: float, seed: int,
@@ -292,8 +336,9 @@ def simulate_waiting_time(n: int, p_g: float, p_s: float, seed: int,
     Elementary links retry geometrically with success p_g; a connection at
     each level waits for both child pairs, retries with success p_s and
     restarts both children after a failure.  Per-block counter-based seeding
-    makes the result independent of the worker count; each worker takes an
-    interleaved group of blocks.
+    makes the result independent of the worker count.  When a block expects
+    more than ``_CHUNK`` level-0 pairs, each worker takes one contiguous run
+    of blocks and cuts it into batches; any other run uses one thread.
     """
     if n < 0:
         raise ValueError("nesting level must be nonnegative")
@@ -301,29 +346,35 @@ def simulate_waiting_time(n: int, p_g: float, p_s: float, seed: int,
         raise ValueError("trials must be >= 1")
     if not (0.0 < p_g <= 1.0 and 0.0 < p_s <= 1.0):
         raise ValueError("success probabilities must lie in (0, 1]")
-    check_chain_depth(n, p_s)
-    blocks = [(b, min(_BLOCK, trials - b * _BLOCK))
-              for b in range((trials + _BLOCK - 1) // _BLOCK)]
-    workers = min(worker_count(), len(blocks))
+    blocks = (trials + _BLOCK - 1) // _BLOCK
+    # threads pay only when blocks stream their draws, which release the
+    # GIL; batched small blocks spend their time in RNG set-up, which holds it
+    streamed = check_chain_depth(n, p_s) > math.log2(_CHUNK)
+    workers = min(worker_count(), blocks if streamed else 1)
 
-    def run(group):
-        return [_sample_block(seed, b, c, n, p_g, p_s) for b, c in group]
+    def run(k):
+        return _sample_blocks(seed, range(blocks * k // workers,
+                                          blocks * (k + 1) // workers),
+                              trials, n, p_g, p_s)
 
-    groups = [blocks[k::workers] for k in range(workers)]
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, groups))
+            parts = [p for group in pool.map(run, range(workers)) for p in group]
     else:
-        results = [run(blocks)]
-    parts = [None] * len(blocks)
-    for k, result in enumerate(results):
-        parts[k::workers] = result
+        parts = run(0)
     return np.concatenate(parts).astype(float)
 
 
 def waiting_time_stats(samples: np.ndarray) -> tuple[float, float]:
-    """(mean, standard error), accumulated in fixed chunked order."""
-    chunks = [samples[i:i + _BLOCK].sum() for i in range(0, len(samples), _BLOCK)]
+    """(mean, standard error), accumulated in fixed chunked order: the sum
+    of each run of ``_BLOCK`` samples, then exactly rounded sums."""
+    whole = len(samples) - len(samples) % _BLOCK
+    chunks = samples[:whole].reshape(-1, _BLOCK).sum(axis=1).tolist()
+    chunks.append(samples[whole:].sum())
     mean = math.fsum(chunks) / len(samples)
-    var = math.fsum((samples - mean) ** 2) / max(len(samples) - 1, 1)
+    squares = itertools.chain.from_iterable(
+        ((samples[i:i + _CHUNK] - mean) ** 2).tolist()
+        for i in range(0, len(samples), _CHUNK))
+    var = math.fsum(squares) / max(len(samples) - 1, 1)
     return mean, math.sqrt(var / len(samples))

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import distill, optics, optimize
+from . import optimize
 from .chain import (GeometryKind, Hardware, ChainConfig, check_chain_depth,
                     expected_max_geometric, generation_perf,
                     simulate_waiting_time, swap_perf, waiting_time_stats)
@@ -126,9 +126,10 @@ FIELDS = {
     },
     "optics": {
         "beta_sq": (0.04, _NONNEG),
-        "alpha": (None, _NONNEG), "theta": (None, _FINITE),
+        "alpha": (None, _num("a finite number >= 0", lambda x: 0.0 <= x < math.inf)),
+        "theta": (None, _FINITE),
         "L_A_km": (0.0, _NONNEG), "L_B_km": (0.0, _NONNEG),
-        "variant": ("central", _one_of([v.value for v in optics.Variant])),
+        "variant": ("central", _one_of(["central", "local"])),  # optics.Variant
         "initial_state": (None, ("a list of 4 entries or 4 lists of 4 entries, "
                                  "each a number or a complex string", _is_state)),
     },
@@ -231,6 +232,7 @@ def cmd_repeater(config: dict, args) -> tuple[int, list[dict], list[str]]:
 
 
 def cmd_distill(config: dict, args) -> tuple[int, list[dict], list[str]]:
+    from . import distill
     hw = parse_hardware(config)
     b = _read_block(config, "distill")
     rows = []
@@ -281,6 +283,7 @@ def _montecarlo_waiting(b: dict, hw: Hardware, geometry: GeometryKind,
 
 
 def _montecarlo_rnpm(b: dict, hw: Hardware, seed: int, trials: int) -> list[dict]:
+    from . import optics
     beta = InteractionParams(math.sqrt(float(b["beta_sq"])))
     geom = _link_geometry(b, hw)
     ens = optics.run_protocol(optics.ProtocolConfig(beta, geom, hw.detector))
@@ -327,6 +330,7 @@ def cmd_montecarlo(config: dict, args) -> tuple[int, list[dict], list[str]]:
 
 
 def cmd_optics(config: dict, args, out) -> int:
+    from . import optics
     hw = parse_hardware(config)
     b = _read_block(config, "optics")
     alpha, theta = b["alpha"], b["theta"]

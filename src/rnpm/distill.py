@@ -2,8 +2,8 @@
 
 Both parties hold two Werner pairs, perform a (noisy) parity check on their
 halves and keep the first pair when the announced parities agree.  The map
-(F, epsilon) -> (P_rec, F') is evaluated two independent ways: through the
-``gadgets`` parity-check building block and through a direct 16x16
+(F, epsilon) -> (P_rec, F') runs in closed form, with two independent
+oracles: the ``gadgets`` parity-check building block and a direct 16x16
 projector computation (``recurrence_oracle``).
 """
 
@@ -122,6 +122,19 @@ def recurrence_via_gadgets(F: float, epsilon: float) -> RecurrenceResult:
                             gadgets.fidelity_to(kept, gadgets.PHI_PLUS))
 
 
+def recurrence_closed_form(F: float, epsilon: float) -> RecurrenceResult:
+    """(P_rec, F') in closed form: on Werner weights (F, r, r, r), the kept
+    pair flips phi+ <-> phi- with the probes' net phase-flip probability q
+    (Bennett et al., PRL 76, 722 (1996); Deutsch et al., PRL 77, 2818
+    (1996)).  `recurrence_oracle` and `recurrence_via_gadgets` are its
+    oracles."""
+    WernerState(F)  # raises for F outside [0, 1], as the oracles do
+    r, q = (1.0 - F) / 3.0, 2.0 * epsilon * (1.0 - epsilon)
+    P_rec = (F + r) ** 2 + 4.0 * r * r
+    return RecurrenceResult(
+        P_rec, ((1.0 - q) * (F * F + r * r) + 2.0 * q * F * r) / P_rec)
+
+
 def recurrence_step(F: float, beta: float, tau: float,
                     detector: DetectorModel) -> RecurrenceResult:
     """One noisy recurrence round with local parity measurements.
@@ -131,5 +144,5 @@ def recurrence_step(F: float, beta: float, tau: float,
     two optical parity measurements: P_s = P_rec(F) * p(beta)^2.
     """
     perf = performance(detector, InteractionParams(beta), tau, tau)
-    rec = recurrence_via_gadgets(F, perf.epsilon)
+    rec = recurrence_closed_form(F, perf.epsilon)
     return RecurrenceResult(rec.P_s * perf.p ** 2, rec.F_prime)

@@ -172,25 +172,3 @@ def sweep(spec: SweepSpec) -> list[OptimumRecord]:
                            spec.geometry)
             for L in spec.L_grid_km for F_t in spec.F_targets
             for kind in detectors]
-
-
-def brute_force_chain(L_km: float, F_target: float, hardware: Hardware,
-                      geometry: GeometryKind = GeometryKind.MIDPOINT,
-                      n_max: int = 12, grid_size: int = 40) -> float:
-    """Reference minimum of T over a raw (n, beta_g^2, beta_s^2) grid.
-
-    Independent of the constrained solve: evaluates the closed-form chain at
-    every grid point and keeps the feasible minimum.
-    """
-    best = math.inf
-    grid = np.logspace(math.log10(BETA_SQ_LO), math.log10(BETA_SQ_HI), grid_size)
-    for n in range(0, n_max + 1):
-        bs_values = np.array([1e-3]) if n == 0 else grid
-        for bg2 in grid:
-            for bs2 in bs_values:
-                cfg = ChainConfig(L_km, n, math.sqrt(bg2), math.sqrt(bs2),
-                                  hardware, geometry)
-                res = chain_closed_form(cfg)
-                if res.F >= F_target - 1e-9:
-                    best = min(best, res.T_avg)
-    return best

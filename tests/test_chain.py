@@ -233,6 +233,20 @@ class TestStreamingSampler:
         assert got.tobytes() == \
             reference_waiting_time(n, p_g, p_s, 17, 130).tobytes()
 
+    @pytest.mark.parametrize("chunk", [8, 64, 1024])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("p_g", [0.05, 0.5, 1e-19])
+    def test_batches_identical_to_reference(self, monkeypatch, chunk, n, p_g):
+        # chunk 8 streams nearly every block in pieces, 64 makes one-block
+        # batches and 1024 joins up to 16 blocks per batch, over 3 batches
+        monkeypatch.setattr(chain, "_CHUNK", chunk)
+        for trials in (1, 64, 65, 64 * 40 + 3):
+            want = reference_waiting_time(n, p_g, 0.5, 23, trials).tobytes()
+            for threads in ("1", "2", "3"):
+                with mock.patch.dict(os.environ, RNPM_THREADS=threads):
+                    got = simulate_waiting_time(n, p_g, 0.5, 23, trials)
+                assert got.tobytes() == want, (trials, threads)
+
     def test_clamped_draws(self):
         # p_g = 1e-19 puts most level-0 draws past 2^63, where numpy returns
         # INT64_MAX, and the int64 slot sums wrap
@@ -267,3 +281,19 @@ class TestStreamingSampler:
                            capture_output=True, text=True, check=True)
         peak_mb = int(r.stdout) / 1024
         assert peak_mb < 600, f"peak RSS {peak_mb:.0f} MB"
+
+
+def per_block_stats(samples):
+    """`waiting_time_stats` as a loop over blocks of 64, its former code."""
+    chunks = [samples[i:i + 64].sum() for i in range(0, len(samples), 64)]
+    mean = math.fsum(chunks) / len(samples)
+    var = math.fsum((samples - mean) ** 2) / max(len(samples) - 1, 1)
+    return mean, math.sqrt(var / len(samples))
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 200_000])
+def test_stats_identical_to_per_block_loop(size):
+    rng = np.random.default_rng(size)
+    for samples in (rng.geometric(0.01, size).astype(float),
+                    rng.standard_exponential(size) * 1e6):
+        assert waiting_time_stats(samples) == per_block_stats(samples)

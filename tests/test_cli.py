@@ -442,11 +442,16 @@ class TestConfigHandling:
         (f"montecarlo --trials {10 ** 400}", {"montecarlo": {"p_g": 0.5}},
          "montecarlo.trials must be an integer"),
         ("optics", {"optics": {"alpha": -1, "theta": 1}},
-         "optics.alpha must be a number >= 0"),
+         "optics.alpha must be a finite number >= 0"),
         ("optics", {"optics": {"alpha": 1, "theta": -1}},
          "optics.alpha * sin(optics.theta / 2) must be >= 0"),
         ("optics", {"optics": {"alpha": 1, "theta": math.nan}},
          "optics.theta must be a finite number"),
+        # not the valid T_A, nor the NaN alpha * sin(0)
+        ("optics", {"optics": {"alpha": math.inf, "theta": 1}},
+         "optics.alpha must be a finite number >= 0"),
+        ("optics", {"optics": {"alpha": math.inf, "theta": 0}},
+         "optics.alpha must be a finite number >= 0"),
     ])
     def test_message_names_the_field(self, tmp_path, capsys, command, cfg,
                                      named):
@@ -501,6 +506,31 @@ def test_import_loads_no_scipy():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True)
     assert r.stdout.strip() == "[]"
+
+
+def test_import_loads_only_what_every_subcommand_needs():
+    # optics, distill and gadgets are imported by the commands that run them
+    code = ("import sys, rnpm.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('rnpm')))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.strip() == str(["rnpm", "rnpm.chain", "rnpm.cli",
+                                    "rnpm.formulas", "rnpm.optimize"])
+
+
+def test_every_public_name_resolves():
+    import rnpm
+    for name in rnpm.__all__:
+        assert getattr(rnpm, name).__module__.startswith("rnpm.")
+    with pytest.raises(AttributeError):
+        rnpm.brute_force_chain
+
+
+def test_variant_rule_lists_every_optics_variant():
+    from rnpm import optics
+    text, ok = FIELDS["optics"]["variant"][1]
+    assert text == f"one of {[v.value for v in optics.Variant]}"
+    assert all(ok(v.value) for v in optics.Variant)
 
 
 # ---------------------------------------------------------------------------

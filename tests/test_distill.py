@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rnpm.distill import (WernerState, recurrence_oracle, recurrence_step,
+from rnpm.distill import (WernerState, recurrence_closed_form,
+                          recurrence_oracle, recurrence_step,
                           recurrence_via_gadgets)
 from rnpm.formulas import DetectorKind, DetectorModel, InteractionParams, performance
 from rnpm.gadgets import PHI_PLUS, fidelity_to
@@ -81,6 +82,20 @@ class TestNoisyClosedForm:
         for res in (recurrence_oracle(F, eps), recurrence_via_gadgets(F, eps)):
             assert res.P_s == pytest.approx(P_ref, abs=1e-12)
             assert res.F_prime == pytest.approx(F_ref, abs=1e-12)
+
+
+class TestClosedFormAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(F=st.floats(0.0, 1.0), eps=st.floats(0.0, 0.5))
+    def test_within_1e14_of_both_oracles(self, F, eps):
+        res = recurrence_closed_form(F, eps)
+        for oracle in (recurrence_oracle(F, eps), recurrence_via_gadgets(F, eps)):
+            assert abs(res.P_s - oracle.P_s) <= 1e-14
+            assert abs(res.F_prime - oracle.F_prime) <= 1e-14
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            recurrence_closed_form(1.5, 0.1)
 
 
 class TestNoisyRound:

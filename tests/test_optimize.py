@@ -12,10 +12,30 @@ from rnpm.chain import (ChainConfig, GeometryKind, Hardware, chain_closed_form,
 from rnpm.formulas import (DetectorKind, DetectorModel, InteractionParams,
                            epsilon_rate, performance)
 from rnpm.optimize import (BETA_SQ_HI, BETA_SQ_LO, N_MAX, OptimumRecord,
-                           SweepSpec, brute_force_chain, optimize_chain, sweep,
-                           time_kernel)
+                           SweepSpec, optimize_chain, sweep, time_kernel)
 
 HW = Hardware(0.98, DetectorModel(DetectorKind.SINGLE_PHOTON, 0.95))
+
+
+def brute_force_chain(L_km, F_target, hardware, geometry=GeometryKind.MIDPOINT,
+                      n_max=12, grid_size=40):
+    """Reference minimum of T over a raw (n, beta_g^2, beta_s^2) grid.
+
+    Independent of the constrained solve: evaluates the closed-form chain at
+    every grid point and keeps the feasible minimum.
+    """
+    best = math.inf
+    grid = np.logspace(math.log10(BETA_SQ_LO), math.log10(BETA_SQ_HI), grid_size)
+    for n in range(0, n_max + 1):
+        bs_values = np.array([1e-3]) if n == 0 else grid
+        for bg2 in grid:
+            for bs2 in bs_values:
+                cfg = ChainConfig(L_km, n, math.sqrt(bg2), math.sqrt(bs2),
+                                  hardware, geometry)
+                res = chain_closed_form(cfg)
+                if res.F >= F_target - 1e-9:
+                    best = min(best, res.T_avg)
+    return best
 
 
 def kernel_point(kind, geometry, n, beta_s_sq, F_target, L_km, tau, eta):
