@@ -305,9 +305,15 @@ def _sample_blocks(seed: int, blocks: range, trials: int, n: int,
 
 def worker_count() -> int:
     env = os.environ.get("RNPM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"RNPM_THREADS must be an integer >= 1, got {env!r}")
+    return count
 
 
 def check_chain_depth(n: int, p_s: float) -> float:

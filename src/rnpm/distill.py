@@ -73,9 +73,9 @@ def recurrence_oracle(F: float, epsilon: float) -> RecurrenceResult:
                 continue
             Pb = gadgets.parity_projectors(1, 3, n)[0 if par_b == "even" else 1]
             sub = (Pa @ Pb) @ rho @ (Pb @ Pa)
-            # one phase-flip channel per party on its kept qubit, as dense
-            # Z conjugations so that the gadgets' elementwise kernel is not
-            # shared with this oracle
+            # one phase-flip channel per party on its kept qubit, written out
+            # here rather than through gadgets.phase_flip_channel, so that
+            # this oracle shares no gadget with recurrence_via_gadgets
             for q in (0, 1):
                 zq = gadgets.op_on(gadgets.Z, q, n)
                 sub = (1.0 - epsilon) * sub + epsilon * (zq @ sub @ zq)

@@ -201,6 +201,15 @@ def success_probability(kind: DetectorKind, eta, beta_sq):
         return x * np.exp(-x) if kind is DetectorKind.SINGLE_PHOTON else -np.expm1(-x)
 
 
+def success_log_slope(kind: DetectorKind, eta, beta_sq):
+    """d ln p / d beta^2 of ``success_probability``: 1/beta^2 - 2 eta for
+    single-photon detectors and 2 eta / (e^x - 1) otherwise, x = 2 beta^2 eta.
+    Decreasing in beta^2; on arrays, the caller silences the 1/0 at 0."""
+    if kind is DetectorKind.SINGLE_PHOTON:
+        return 1.0 / beta_sq - 2.0 * eta
+    return 2.0 * eta / np.expm1(2.0 * beta_sq * eta)
+
+
 def success_peak(detector: DetectorModel) -> float:
     """beta^2 of the single-photon success peak 1/(2 eta); inf otherwise."""
     if detector.kind is DetectorKind.SINGLE_PHOTON and detector.efficiency > 0.0:

@@ -57,25 +57,7 @@ def num_qubits(rho: np.ndarray) -> int:
     return n
 
 
-def _z_signs(qubit: int, n: int) -> np.ndarray:
-    """Diagonal of Z on the given qubit of n, as a vector of +-1.0.
-
-    A diagonal operator acts elementwise, D rho D = rho * outer(d, d).
-    Multiplying by 0 and +-1 and adding exact zeros is exact, so this equals
-    the dense matmul bit for bit, up to the sign of zeros.
-    """
-    bits = (np.arange(2 ** n) >> (n - 1 - qubit)) & 1
-    return 1.0 - 2.0 * bits
-
-
-def _parity_part(rho: np.ndarray, i: int, j: int, sign: float) -> np.ndarray:
-    """P rho P for the even (sign 1) or odd (sign -1) projector on (i, j)."""
-    n = num_qubits(rho)
-    m = (_z_signs(i, n) * _z_signs(j, n) == sign).astype(float)
-    return rho * np.outer(m, m)
-
-
-_PARITIES = (("even", 1.0), ("odd", -1.0))
+_PARITIES = ("even", "odd")
 
 
 def parity_projectors(i: int, j: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -87,8 +69,8 @@ def parity_projectors(i: int, j: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def phase_flip_channel(rho: np.ndarray, qubit: int, epsilon: float) -> np.ndarray:
     """(1 - eps) rho + eps Z rho Z on the given qubit."""
-    s = _z_signs(qubit, num_qubits(rho))
-    return (1.0 - epsilon) * rho + epsilon * (rho * np.outer(s, s))
+    zq = op_on(Z, qubit, num_qubits(rho))
+    return (1.0 - epsilon) * rho + epsilon * (zq @ rho @ zq)
 
 
 def ptrace_remove(rho: np.ndarray, remove: tuple[int, ...]) -> np.ndarray:
@@ -141,8 +123,8 @@ def rnpm_channel(rho: np.ndarray, qubits: tuple[int, int], p: float,
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError(f"invalid qubit indices {qubits} for {n} qubits")
     outcomes = []
-    for name, sign in _PARITIES:
-        sub = _parity_part(rho, i, j, sign)
+    for name, P in zip(_PARITIES, parity_projectors(i, j, n)):
+        sub = P @ rho @ P
         w = float(np.trace(sub).real)
         state = None
         if w > 1e-300:
@@ -170,8 +152,8 @@ def bell_measurement(rho: np.ndarray, qubits: tuple[int, int],
     n = num_qubits(rho)
     i, j = qubits
     outcomes = []
-    for parity, sign in _PARITIES:
-        sub = _parity_part(rho, i, j, sign)
+    for parity, P in zip(_PARITIES, parity_projectors(i, j, n)):
+        sub = P @ rho @ P
         w_par = float(np.trace(sub).real)
         if w_par <= 1e-300:
             continue
@@ -211,8 +193,8 @@ def parity_check(rho: np.ndarray, qubits: tuple[int, int],
     n = num_qubits(rho)
     a1, a2 = qubits
     outcomes = []
-    for parity, sign in _PARITIES:
-        sub = _parity_part(rho, a1, a2, sign)
+    for parity, P in zip(_PARITIES, parity_projectors(a1, a2, n)):
+        sub = P @ rho @ P
         if float(np.trace(sub).real) <= 1e-300:
             continue
         sub = phase_flip_channel(sub, a2, epsilon)
@@ -222,8 +204,8 @@ def parity_check(rho: np.ndarray, qubits: tuple[int, int],
             if w <= 1e-300:
                 continue
             if x == 1:
-                s_kept = _z_signs(a1 if a1 < a2 else a1 - 1, n - 1)
-                post = post * np.outer(s_kept, s_kept)
+                zc = op_on(Z, a1 if a1 < a2 else a1 - 1, n - 1)
+                post = zc @ post @ zc
             outcomes.append(GadgetOutcome((parity, x), w, _normalize(post, w)))
     return outcomes
 

@@ -2,8 +2,10 @@
 
 For each nesting level n the fidelity constraint fixes the generation
 amplitude beta_g^2 in closed form given the swap amplitude, leaving a
-one-dimensional minimization over beta_s^2.  It is solved for every n at
-once, as numpy arrays: a coarse log-grid scan, then golden-section search.
+one-dimensional minimization over beta_s^2.  ln T is convex in beta_s^2,
+so its slope g never decreases, and the optimum is the root of g or a bound
+of [BETA_SQ_LO, BETA_SQ_HI].  A fixed-length bisection on the sign of g in
+ln beta_s^2 finds it for every n at once, as numpy arrays.
 """
 
 from __future__ import annotations
@@ -17,17 +19,13 @@ from .chain import (ChainConfig, GeometryKind, Hardware, chain_closed_form,
                     direct_transmission_time, generation_transmittances,
                     nested_time)
 from .chain import generation_perf  # noqa: F401  (kept importable here)
-from .formulas import (DetectorKind, epsilon_rate, success_peak,
-                       success_probability)
+from .formulas import (DetectorKind, epsilon_rate, success_log_slope,
+                       success_peak, success_probability)
 
 N_MAX = 20
 BETA_SQ_LO = 1e-6
 BETA_SQ_HI = 2.0
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_LOG_WIDTH = 1e-3         # golden-section stop in ln beta_s^2; resolves T
-                          # to well below 1e-4 relative
-_GRID = np.logspace(math.log10(BETA_SQ_LO), math.log10(BETA_SQ_HI), 48)
-_LOG_GRID = np.log(_GRID)
+_HALVINGS = 30            # ln(HI/LO) / 2^30 < 2e-8 in ln beta_s^2
 
 
 @dataclass(frozen=True)
@@ -66,21 +64,23 @@ class OptimumRecord:
 
 def time_kernel(ns, L_km: float, F_target: float, hardware: Hardware,
                 geometry: GeometryKind):
-    """T(beta_s^2) of the chains of nesting levels ``ns`` at fidelity F_target.
+    """T(beta_s^2) and g = d ln T / d beta_s^2 at levels ``ns`` and F_target.
 
-    Returns ``T_of(beta_s_sq) -> (T, beta_g_sq)`` on arrays that broadcast
-    against ``ns``; T is inf where F_target is out of reach.  With
-    1 - 2 eps = exp(-2 beta^2 c) for both steps, the constraint
-    (1 - 2 eps_0)^N (1 - 2 eps_s)^(N-1) = 2 F_target - 1, N = 2^n, gives
-    beta_g^2 = -ln(ratio) / (2 c_g N) with
+    Returns ``T_of(beta_s_sq) -> (T, beta_g_sq)`` and ``g_of(beta_s_sq) -> g``
+    on arrays that broadcast against ``ns``; T and g are inf where F_target
+    is out of reach.  With 1 - 2 eps = exp(-2 beta^2 c) for both steps, the
+    constraint (1 - 2 eps_0)^N (1 - 2 eps_s)^(N-1) = 2 F_target - 1, N = 2^n,
+    gives beta_g^2 = -ln(ratio) / (2 c_g N) with
     ln(ratio) = ln(2 F_target - 1) + 2 (N - 1) c_s beta_s^2, capped at
     BETA_SQ_HI and, for single-photon detectors, at the success peak
-    1/(2 eta), past which beta_g only hurts.
+    1/(2 eta), past which beta_g only hurts.  So g = k rho(beta_g^2) -
+    n rho(beta_s^2) with rho = ``success_log_slope`` and
+    k = (N - 1) c_s / (c_g N); the first term is 0 where beta_g^2 is capped.
     """
     n = np.asarray(ns)
     N = 2.0 ** n
     det = hardware.detector
-    eta = det.efficiency
+    kind, eta = det.kind, det.efficiency
     c_s = epsilon_rate(det, hardware.tau, hardware.tau)
     c_g = np.reshape([epsilon_rate(det, *generation_transmittances(
         hardware, L_km / m, geometry)) for m in N.ravel()], N.shape)
@@ -93,34 +93,20 @@ def time_kernel(ns, L_km: float, F_target: float, hardware: Hardware,
         log_ratio = log_target + slope * beta_s_sq
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             bg2 = np.minimum(log_ratio / scale, cap)
-            T = nested_time(unit / success_probability(det.kind, eta, bg2),
-                            success_probability(det.kind, eta, beta_s_sq), n)
+            T = nested_time(unit / success_probability(kind, eta, bg2),
+                            success_probability(kind, eta, beta_s_sq), n)
         return np.where(log_ratio < 0.0, T, math.inf), bg2
 
-    return T_of
+    def g_of(beta_s_sq):
+        log_ratio = log_target + slope * beta_s_sq
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            bg2 = log_ratio / scale
+            gen = np.where(bg2 < cap, -slope / scale
+                           * success_log_slope(kind, eta, bg2), 0.0)
+            g = gen - n * success_log_slope(kind, eta, beta_s_sq)
+        return np.where(log_ratio < 0.0, g, math.inf)
 
-
-def _golden(fun, a: np.ndarray, b: np.ndarray):
-    """Golden-section minimum of ``fun`` in every lane's [a, b] at once.
-
-    The bracket shrinks by 1/phi per step whatever the values, so a lane's
-    step count is fixed by its initial width; it stops below _LOG_WIDTH.
-    Returns (x, steps).
-    """
-    c, d = b - (b - a) * _INV_PHI, a + (b - a) * _INV_PHI
-    fc, fd = fun(c), fun(d)
-    steps = np.zeros(np.shape(a), dtype=int)
-    while (live := b - a >= _LOG_WIDTH).any():
-        left, right = live & (fc < fd), live & ~(fc < fd)
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        x = np.where(left, b - (b - a) * _INV_PHI, a + (b - a) * _INV_PHI)
-        fx = fun(x)
-        c, d = np.where(left, x, np.where(right, d, c)), \
-            np.where(left, c, np.where(right, x, d))
-        fc, fd = np.where(left, fx, np.where(right, fd, fc)), \
-            np.where(left, fc, np.where(right, fx, fd))
-        steps += live
-    return np.where(fc < fd, c, d), steps
+    return T_of, g_of
 
 
 def optimize_chain(L_km: float, F_target: float, hardware: Hardware,
@@ -128,29 +114,30 @@ def optimize_chain(L_km: float, F_target: float, hardware: Hardware,
                    n_max: int = N_MAX) -> OptimumRecord:
     """Best (n, beta_g, beta_s) subject to F >= F_target; deterministic.
 
-    All n = 0..n_max are scanned on the log beta_s^2 grid and refined by
-    golden section together.  T and F are those of
-    ``chain_closed_form`` at the optimum.
+    For every n at once, beta_s^2 is BETA_SQ_HI where g <= 0 there, and
+    otherwise the lower, feasible end of the bracket of g's sign change
+    after _HALVINGS bisections.  T and F are those of ``chain_closed_form``.
     """
     rec = OptimumRecord(L_km=L_km, F_target=F_target,
                         detector=hardware.detector.kind, geometry=geometry,
                         feasible=False, message="infeasible")
     rec.direct_seconds = direct_transmission_time(
         L_km, hardware.f_hz, hardware.detector.efficiency, hardware.L_att_km)
-    T_of = time_kernel(np.arange(n_max + 1)[:, None], L_km, F_target,
-                       hardware, geometry)
-    i = T_of(_GRID)[0].argmin(axis=1)[:, None]
-    x, steps = _golden(lambda x: T_of(np.exp(x))[0],
-                       _LOG_GRID[np.maximum(i - 1, 0)],
-                       _LOG_GRID[np.minimum(i + 1, len(_GRID) - 1)])
-    bs2 = np.exp(x)
+    T_of, g_of = time_kernel(np.arange(n_max + 1), L_km, F_target, hardware,
+                             geometry)
+    lo, hi = np.full(n_max + 1, BETA_SQ_LO), np.full(n_max + 1, BETA_SQ_HI)
+    for _ in range(_HALVINGS):
+        mid = np.sqrt(lo * hi)
+        down = g_of(mid) <= 0.0
+        lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+    bs2 = np.where(g_of(BETA_SQ_HI) <= 0.0, BETA_SQ_HI, lo)
     bs2[0] = 0.0  # n = 0 has no swap; its T does not depend on beta_s^2
     T, bg2 = T_of(bs2)
     n = int(T.argmin())
-    rec.extras["feasible_n"] = np.flatnonzero(np.isfinite(T[:, 0])).tolist()
-    if not math.isfinite(T[n, 0]):
+    rec.extras["feasible_n"] = np.flatnonzero(np.isfinite(T)).tolist()
+    if not math.isfinite(T[n]):
         return rec
-    bg2, bs2 = float(bg2[n, 0]), float(bs2[n, 0])
+    bg2, bs2 = float(bg2[n]), float(bs2[n])
     res = chain_closed_form(ChainConfig(L_km, n, math.sqrt(bg2),
                                         math.sqrt(bs2), hardware, geometry))
     rec.feasible, rec.message = True, ""
@@ -159,8 +146,7 @@ def optimize_chain(L_km: float, F_target: float, hardware: Hardware,
     rec.extras.update(
         n_at_max=n == n_max, beta_g_sq_at_hi=bg2 == BETA_SQ_HI,
         beta_g_sq_at_peak=bg2 == success_peak(hardware.detector),
-        beta_s_sq_at_grid_edge=bool(n and i[n, 0] in (0, len(_GRID) - 1)),
-        refine_steps=int(steps[n, 0]) if n else 0)
+        beta_s_sq_at_bound=bs2 in (BETA_SQ_LO, BETA_SQ_HI))
     return rec
 
 

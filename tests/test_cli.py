@@ -135,10 +135,9 @@ class TestRepeater:
             assert extras["n_at_max"] is False
             assert extras["beta_g_sq_at_hi"] is False
             assert extras["beta_g_sq_at_peak"] is False
-            assert extras["beta_s_sq_at_grid_edge"] is False
-            # n = 0 has no swap to refine; an interior bracket of two grid
-            # steps needs 14 golden-section steps to fall below 1e-3
-            assert extras["refine_steps"] == (14 if row["n_opt"] else 0)
+            # n = 0 has no swap, and n = 2 at 600 km has an interior optimum
+            assert extras["beta_s_sq_at_bound"] is False
+            assert len(extras) == 5
         code, text = invoke(tmp_path, "repeater", cfg)
         assert parse_csv(text)[0] == REPEATER_COLS
 
@@ -309,6 +308,16 @@ class TestMontecarlo:
             assert r.returncode == 0, r.stderr
             outputs.append(r.stdout)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-2"])
+    def test_bad_thread_count_names_the_variable(self, tmp_path, capsys,
+                                                  monkeypatch, threads):
+        monkeypatch.setenv("RNPM_THREADS", threads)
+        cfg = {"montecarlo": {"n": 1, "p_g": 0.5, "trials": 100}}
+        assert invoke(tmp_path, "montecarlo", cfg) == (2, "")
+        assert capsys.readouterr().err == (
+            f"config error: RNPM_THREADS must be an integer >= 1, "
+            f"got {threads!r}\n")
 
 
 class TestOptics:

@@ -12,7 +12,8 @@ from rnpm.formulas import (DetectorKind, DetectorModel, InteractionParams,
                            binomial_pmf, k_max_for,
                            link_transmittance, performance,
                            performance_oracle, poisson_cutoff, poisson_pmf,
-                           poisson_sf, success_peak, success_probability)
+                           poisson_sf, success_log_slope, success_peak,
+                           success_probability)
 
 ALL_KINDS = list(DetectorKind)
 
@@ -202,6 +203,32 @@ class TestSuccessProbability:
         p = success_probability(kind, eta, np.array(b2s))
         assert p.tolist() == [float(success_probability(kind, eta, b2))
                               for b2 in b2s]
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS), eta=st.floats(0.01, 1.0),
+           b2=st.floats(math.log(1e-9), math.log(10.0)).map(math.exp))
+    def test_log_slope_matches_mpmath(self, kind, eta, b2):
+        """d ln p / d beta^2, against mpmath's numerical derivative at 40
+        digits; 1/beta^2 - 2 eta cancels near the single-photon peak, so
+        that law is compared relative to its larger term 1/beta^2."""
+        mp = pytest.importorskip("mpmath")
+        single = kind is DetectorKind.SINGLE_PHOTON
+
+        def log_p(b):
+            x = 2 * b * mp.mpf(eta)
+            return mp.log(x * mp.exp(-x) if single else -mp.expm1(-x))
+
+        with mp.workdps(40):
+            ref = float(mp.diff(log_p, mp.mpf(b2)))
+        scale = 1.0 / b2 if single else abs(ref)
+        assert abs(success_log_slope(kind, eta, b2) - ref) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS), eta=st.floats(0.01, 1.0),
+           b2s=st.lists(st.floats(1e-9, 10.0), min_size=2, max_size=40))
+    def test_log_slope_never_increases(self, kind, eta, b2s):
+        slope = success_log_slope(kind, eta, np.sort(b2s))
+        assert (np.diff(slope) <= 0.0).all()
 
 
 class TestOracleAgreement:

@@ -212,8 +212,9 @@ def assert_outcomes_equal(got, want):
             assert np.array_equal(o.state, state)
 
 
-class TestElementwiseKernels:
-    """The sign-vector kernels against the dense P rho P / Z rho Z forms."""
+class TestDenseReferences:
+    """The gadgets against their steps written out in this file: the dense
+    P rho P and Z rho Z forms, the projections and the partial traces."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([3, 4]), seed=st.integers(0, 2 ** 32 - 1),

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rnpm.chain import (ChainConfig, GeometryKind, Hardware, chain_closed_form,
                         direct_transmission_time, generation_transmittances)
 from rnpm.formulas import (DetectorKind, DetectorModel, InteractionParams,
-                           epsilon_rate, performance)
+                           epsilon_rate, performance, success_peak)
 from rnpm.optimize import (BETA_SQ_HI, BETA_SQ_LO, N_MAX, OptimumRecord,
                            SweepSpec, optimize_chain, sweep, time_kernel)
 
@@ -41,7 +41,7 @@ def brute_force_chain(L_km, F_target, hardware, geometry=GeometryKind.MIDPOINT,
 def kernel_point(kind, geometry, n, beta_s_sq, F_target, L_km, tau, eta):
     """(hardware, T, beta_g^2, cap) of the kernel at one (n, beta_s^2)."""
     hw = Hardware(tau, DetectorModel(kind, eta))
-    T, bg2 = time_kernel(n, L_km, F_target, hw, geometry)(beta_s_sq)
+    T, bg2 = time_kernel(n, L_km, F_target, hw, geometry)[0](beta_s_sq)
     cap = BETA_SQ_HI
     if kind is DetectorKind.SINGLE_PHOTON:
         cap = min(cap, 1.0 / (2.0 * eta))
@@ -103,6 +103,40 @@ class TestTimeKernel:
         assert got == pytest.approx(math.log(2.0 * F_target - 1.0), rel=1e-12)
 
     @pytest.mark.parametrize("kind", list(DetectorKind))
+    @settings(max_examples=200, deadline=None)
+    @given(**KERNEL_POINTS)
+    def test_slope_never_decreases(self, kind, geometry, n, beta_s_sq,
+                                   F_target, L_km, tau, eta):
+        """The bisection's premise: g = d ln T / d beta_s^2 is nondecreasing,
+        also across the beta_g^2 cap and past the feasibility edge."""
+        hw = Hardware(tau, DetectorModel(kind, eta))
+        g_of = time_kernel(n, L_km, F_target, hw, geometry)[1]
+        x = np.sort(np.append(np.geomspace(BETA_SQ_LO, BETA_SQ_HI, 2001),
+                              beta_s_sq))
+        g = g_of(x)
+        assert not np.isnan(g).any()
+        assert (g[1:] >= g[:-1]).all()
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    @settings(max_examples=200, deadline=None)
+    @given(**KERNEL_POINTS)
+    def test_slope_matches_finite_difference(self, kind, geometry, n,
+                                             beta_s_sq, F_target, L_km, tau,
+                                             eta):
+        hw = Hardware(tau, DetectorModel(kind, eta))
+        T_of, g_of = time_kernel(n, L_km, F_target, hw, geometry)
+        h = 1e-6
+        x = beta_s_sq * np.array([1.0 - h, 1.0, 1.0 + h])
+        T, bg2 = T_of(x)
+        cap = min(BETA_SQ_HI, success_peak(hw.detector))
+        if not np.isfinite(T).all() or len(set((bg2 < cap).tolist())) > 1:
+            return  # past the edge, or the cap's kink inside the difference
+        fd = (math.log(T[2]) - math.log(T[0])) / (x[2] - x[0])
+        g = float(g_of(beta_s_sq))
+        # both terms of g are at most about n (1/beta_s^2 + 2 eta) + |g|
+        assert abs(g - fd) <= 1e-6 * (abs(g) + n * (1.0 / beta_s_sq + 2 * eta))
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
     def test_unreachable_is_capped(self, kind):
         # lossless arms and a perfect detector: eps0 = 0 at every beta_g, so
         # beta_g^2 goes to its cap (threshold detectors keep c = 1 > 0)
@@ -129,7 +163,7 @@ class TestTimeKernel:
                 F = (1.0 + ratio) / 2.0
                 # beta_s = 0 leaves ratio = 2 F - 1, exact in floats
                 _, bg2 = time_kernel(n, l0 * 2 ** n, F, hw,
-                                     GeometryKind.MIDPOINT)(0.0)
+                                     GeometryKind.MIDPOINT)[0](0.0)
                 want = -mp.log(2 * mp.mpf(F) - 1) / (2 * mp.mpf(c) * 2 ** n)
                 assert abs(float(bg2) - want) <= 1e-15 * want, (n, ratio)
 
@@ -167,7 +201,7 @@ class TestOptimizeChain:
     def test_blind_detector_is_infeasible(self, kind):
         hw = replace(HW, detector=DetectorModel(kind, 0.0))
         T, _ = time_kernel(np.array([0, 1]), 100.0, 0.9, hw,
-                           GeometryKind.MIDPOINT)(0.01)
+                           GeometryKind.MIDPOINT)[0](0.01)
         assert not np.isfinite(T).any()
         assert not optimize_chain(100.0, 0.9, hw).feasible
 
@@ -176,19 +210,59 @@ class TestOptimizeChain:
         threshold = replace(HW, detector=DetectorModel(DetectorKind.THRESHOLD,
                                                        0.95))
         flags = ("n_at_max", "beta_g_sq_at_hi", "beta_g_sq_at_peak",
-                 "beta_s_sq_at_grid_edge")
-        cases = [  # (L, F_target, hardware, flags set, refine steps)
-            (5000.0, 0.99, perfect, {"n_at_max", "beta_s_sq_at_grid_edge"}, 12),
-            (10.0, 0.51, HW, {"beta_g_sq_at_peak"}, 0),
-            (10.0, 0.5, threshold, {"beta_g_sq_at_hi",
-                                    "beta_s_sq_at_grid_edge"}, 12),
-            (600.0, 0.9, HW, set(), 14),
+                 "beta_s_sq_at_bound")
+        cases = [  # (L, F_target, hardware, flags set)
+            (5000.0, 0.99, perfect, {"n_at_max", "beta_s_sq_at_bound"}),
+            (10.0, 0.51, HW, {"beta_g_sq_at_peak"}),
+            (10.0, 0.5, threshold, {"beta_g_sq_at_hi", "beta_s_sq_at_bound"}),
+            (600.0, 0.9, HW, set()),
         ]
-        for L, F, hw, want, steps in cases:
+        for L, F, hw, want in cases:
             rec = optimize_chain(L, F, hw)
             assert {f for f in flags if rec.extras[f]} == want
-            assert rec.extras["refine_steps"] == steps
+            assert set(rec.extras) == {"feasible_n", *flags}
             assert rec.n in rec.extras["feasible_n"]
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    @settings(max_examples=40, deadline=None)
+    @given(geometry=st.sampled_from(list(GeometryKind)),
+           F_target=st.floats(0.5, 0.999, exclude_min=True),
+           L_km=st.floats(1.0, 3000.0), tau=st.floats(0.5, 1.0),
+           eta=st.floats(0.01, 1.0))
+    def test_never_above_dense_grid(self, kind, geometry, F_target, L_km,
+                                    tau, eta):
+        """T is at most the per-n minimum of the kernel on a dense
+        ln beta_s^2 grid, and ``feasible_n`` is exactly the n whose
+        feasible interval is nonempty."""
+        hw = Hardware(tau, DetectorModel(kind, eta))
+        rec = optimize_chain(L_km, F_target, hw, geometry)
+        ns = np.arange(N_MAX + 1)
+        T_of = time_kernel(ns[:, None], L_km, F_target, hw, geometry)[0]
+        T_grid = T_of(np.geomspace(BETA_SQ_LO, BETA_SQ_HI, 4001))[0]
+        # feasibility ends at an upper edge in beta_s^2, so an n is feasible
+        # iff its lower bound is (n = 0 has no swap: beta_s^2 = 0)
+        T_low = T_of(np.where(ns == 0, 0.0, BETA_SQ_LO)[:, None])[0][:, 0]
+        feasible = rec.extras["feasible_n"]
+        assert np.isfinite(T_low[feasible]).all()
+        assert np.isinf(T_grid[np.setdiff1d(ns, feasible)]).all()
+        assert np.isinf(np.delete(T_low, feasible)).all()
+        assert rec.feasible == bool(feasible)
+        if rec.feasible:
+            assert rec.T_seconds <= T_grid.min() * (1.0 + 1e-12)
+            assert rec.F_achieved >= F_target - 1e-9
+
+    @pytest.mark.parametrize("geometry", list(GeometryKind))
+    @pytest.mark.parametrize("L_km, F_target", [(50.0, 0.6), (400.0, 0.99),
+                                                (1500.0, 0.9)])
+    def test_noiseless_swap_sits_at_upper_bound(self, geometry, L_km,
+                                                F_target):
+        # number-resolving, tau = eta = 1: c_s = 2/tau - 2 eta = 0, so T
+        # falls all the way to BETA_SQ_HI
+        hw = Hardware(1.0, DetectorModel(DetectorKind.NUMBER_RESOLVING, 1.0))
+        rec = optimize_chain(L_km, F_target, hw, geometry)
+        assert rec.n > 0
+        assert rec.beta_s_sq == BETA_SQ_HI
+        assert rec.extras["beta_s_sq_at_bound"] is True
 
     def test_direct_baseline_filled(self):
         rec = optimize_chain(100.0, 0.9, HW)
