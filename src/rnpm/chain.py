@@ -133,8 +133,12 @@ def chain_closed_form(config: ChainConfig) -> ChainResult:
     eps0, t0 = generation_step(config)
     p_s, eps_s = swap_perf(config.beta_s, config.hardware)
     levels = range(config.n + 1)
-    # 2F - 1 = (1 - 2 eps0)^N (1 - 2 eps_s)^(N - 1) at level j, N = 2^j
+    # 2F - 1 = (1 - 2 eps0)^N (1 - 2 eps_s)^(N - 1) at level j, N = 2^j; from
+    # j = 2 on in log form, as the powers of rounded factors gain about N ulp
+    logs = [math.log1p(-2.0 * e) if e < 0.5 else -math.inf
+            for e in (eps0, eps_s)]
     two_f = [(1.0 - 2.0 * eps0) ** 2 ** j * (1.0 - 2.0 * eps_s) ** (2 ** j - 1)
+             if j < 2 else math.exp(2 ** j * logs[0] + (2 ** j - 1) * logs[1])
              for j in levels]
     t_levels = [nested_time(t0, p_s, j) for j in levels]
     return ChainResult(T_avg=t_levels[-1], F=(1.0 + two_f[-1]) / 2.0,
@@ -182,7 +186,8 @@ _BLOCK = 64  # trials per RNG block; fixed so results are worker-independent
 #: and 2^16 raised the peak RSS of a 200k-trial n = 1 run by about 4 MB
 _CHUNK = 1 << 14
 #: log2 of the cap on one block's expected level-1 count: 2^26 is about 10x
-#: the n=6, p_s=0.2 chain, and the level-1 arrays are what fills memory
+#: the n=6, p_s=0.2 chain, and the level-1 attempt counts, 8 bytes each, are
+#: what fills memory; the other level-1 values live one segment at a time
 _MAX_LEVEL1_LOG2 = 26
 #: log2 of the cap on one block's expected level-0 pair count, which sets
 #: the run time: the n=6, p_s=0.2 chain expects 2^24.9
@@ -246,9 +251,8 @@ def _slot_sums(pair_maxes, attempts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _upper_levels(pair_maxes, attempts: list) -> np.ndarray:
-    """Slot sums of the level-0 pair maxima, then of each level above."""
-    times = _slot_sums(pair_maxes, attempts.pop())
+def _upper_levels(times: np.ndarray, attempts: list) -> np.ndarray:
+    """Completion times of each level above ``times``, up to the top."""
     while attempts:
         times = _slot_sums([_pair_max(times)], attempts.pop())
     return times
@@ -265,7 +269,35 @@ def _batch_times(batch: list, n: int, p_g: float) -> np.ndarray:
     attempts, draws = [cat(level) for level in zip(*attempts)], cat(draws)
     if n == 0:
         return _geometric(draws, p_g)
-    return _upper_levels([_geometric(_pair_max(draws), p_g)], attempts)
+    return _upper_levels(_slot_sums([_geometric(_pair_max(draws), p_g)],
+                                    attempts.pop()), attempts)
+
+
+def _streamed_times(rng: np.random.Generator, attempts: list,
+                    p_g: float) -> np.ndarray:
+    """Completion times of one block that streams its level-0 draws in
+    pieces of ``_CHUNK`` pairs.  Its level-1 slots run in segments of about
+    ``_CHUNK`` that end on level-2 slot boundaries, so one segment's level-1
+    times live at once; a block with no level 2 is one segment."""
+    def level1_times(level1):
+        pairs = int(level1.sum())
+        return _slot_sums((_geometric(_pair_max(_draw(
+            rng, p_g, 2 * min(_CHUNK, pairs - i))), p_g)
+            for i in range(0, pairs, _CHUNK)), level1)
+
+    level1 = attempts.pop()
+    if not attempts:
+        return level1_times(level1)
+    level2 = attempts.pop()
+    # level-2 slot j spans level-1 slots ends[j]:ends[j + 1]; a slot wider
+    # than _CHUNK repeats a cut, which np.unique drops
+    ends = np.concatenate(([0], 2 * level2.cumsum()))
+    cuts = np.unique(np.append(ends.searchsorted(
+        np.arange(0, ends[-1], _CHUNK), "right") - 1, len(level2)))
+    return _upper_levels(np.concatenate([
+        _slot_sums([_pair_max(level1_times(level1[ends[a]:ends[b]]))],
+                   level2[a:b])
+        for a, b in itertools.pairwise(cuts.tolist())]), attempts)
 
 
 def _sample_blocks(seed: int, blocks: range, trials: int, n: int,
@@ -291,10 +323,7 @@ def _sample_blocks(seed: int, blocks: range, trials: int, n: int,
             parts.append(_batch_times(batch, n, p_g))
             pairs = 0
         if n and size > _CHUNK:
-            pieces = (_draw(rng, p_g, 2 * min(_CHUNK, size - i))
-                      for i in range(0, size, _CHUNK))
-            parts.append(_upper_levels(
-                (_geometric(_pair_max(d), p_g) for d in pieces), attempts))
+            parts.append(_streamed_times(rng, attempts, p_g))
         else:
             batch.append((attempts, _draw(rng, p_g, 2 * size if n else count)))
             pairs += size
