@@ -106,7 +106,7 @@ def connect_step(eps_j: float, t_j: float, beta_s: float,
         raise ValueError(f"eps_j must lie in [0, 1/2], got {eps_j}")
     p_s, eps_s = swap_perf(beta_s, hardware)
     eps_next = 0.5 * (1.0 - (1.0 - 2.0 * eps_j) ** 2 * (1.0 - 2.0 * eps_s))
-    t_next = 1.5 * t_j / p_s
+    t_next = 1.5 * t_j / p_s if p_s > 0.0 else math.inf  # infeasible
     return eps_next, t_next
 
 
@@ -125,7 +125,10 @@ def chain_iterated(config: ChainConfig) -> ChainResult:
 def nested_time(t0, p_s, n):
     """Average time t0 (3/2)^n / p_s^n of a chain of nesting level n whose
     elementary links take t0 on average; broadcasts over arrays."""
-    return t0 * 1.5 ** n / p_s ** n
+    try:
+        return t0 * 1.5 ** n / p_s ** n
+    except ZeroDivisionError:  # a scalar p_s^n of 0, or one that underflows
+        return math.inf  # the chain is infeasible
 
 
 def chain_closed_form(config: ChainConfig) -> ChainResult:
@@ -300,21 +303,66 @@ def _streamed_times(rng: np.random.Generator, attempts: list,
         for a, b in itertools.pairwise(cuts.tolist())]), attempts)
 
 
+def _hasher(key: int, mult: int):
+    """NumPy's SeedSequence hashmix on uint32 arrays; its hash constant starts
+    at ``key`` and is multiplied by ``mult`` in each call."""
+    def hashmix(value):
+        nonlocal key
+        value = value ^ key
+        key = key * mult & 0xFFFFFFFF
+        value = value * key
+        return value ^ value >> 16
+    return hashmix
+
+
+def block_rngs(seed: int, blocks: range):
+    """One ``Generator(PCG64(SeedSequence([seed, block])))`` per block:
+    NumPy's SeedSequence (NEP 19, pool size 4) runs over all blocks at once,
+    on the seed's 32-bit words, low first, then the block's."""
+    if seed < 0 or blocks and not 0 <= blocks[0] <= blocks[-1] < 1 << 32:
+        raise ValueError(f"need seed >= 0, blocks in [0, 2^32): {seed}, {blocks}")
+    entropy = [np.full(len(blocks), seed >> s & 0xFFFFFFFF, np.uint32)
+               for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(blocks.start, blocks.stop, dtype=np.uint32))
+    entropy += [np.zeros_like(entropy[0])] * (4 - len(entropy))
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in entropy[:4]]
+    # each pool word into every other, then each later entropy word into all
+    for src, dst in itertools.chain(itertools.permutations(range(4), 2),
+                                    itertools.product(range(4, len(entropy)),
+                                                      range(4))):
+        mixed = pool[dst] * 0xCA01F9DD - hashmix(
+            (pool if src < 4 else entropy)[src]) * 0x4973F715
+        pool[dst] = mixed ^ mixed >> 16
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    rows = np.stack([out(pool[i % 4]) for i in range(8)], axis=1,
+                    dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+    # defined here: a module-level subclass would load numpy.random on import
+    class Row(np.random.bit_generator.ISeedSequence):
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return (np.random.Generator(np.random.PCG64(Row(row))) for row in rows)
+
+
 def _sample_blocks(seed: int, blocks: range, trials: int, n: int,
                    p_g: float, p_s: float) -> list:
     """Completion times of consecutive blocks, as one array per batch.
 
-    Level j >= 1 retries geometric(p_s) times; each attempt waits for the
-    max of two level-(j-1) times.  A block draws all its attempts top down,
-    then its level-0 draws, as a depth-first recursion would.  Runs of
-    blocks with at most ``_CHUNK`` level-0 pairs in all form one batch, and
-    everything after the draws runs once per batch.  A block with more
-    pairs is a batch of its own and streams its level-0 draws.
+    One `block_rngs` call seeds them.  Level j >= 1 retries geometric(p_s)
+    times; each attempt waits for the max of two level-(j-1) times.  A block
+    draws all its attempts top down, then its level-0 draws, as a depth-first
+    recursion would.  Runs of blocks with at most ``_CHUNK`` level-0 pairs in
+    all form one batch, and everything after the draws runs once per batch.
+    A block with more pairs is a batch of its own and streams its draws.
     """
     parts, batch, pairs = [], [], 0
-    for block in blocks:
+    for block, rng in zip(blocks, block_rngs(seed, blocks)):
         count = min(_BLOCK, trials - block * _BLOCK)
-        rng = np.random.default_rng([seed, block])
         attempts = [rng.geometric(p_s, size=count)] if n else []
         for _ in range(n - 1):
             attempts.append(rng.geometric(p_s, size=2 * int(attempts[-1].sum())))
@@ -370,10 +418,10 @@ def simulate_waiting_time(n: int, p_g: float, p_s: float, seed: int,
 
     Elementary links retry geometrically with success p_g; a connection at
     each level waits for both child pairs, retries with success p_s and
-    restarts both children after a failure.  Per-block counter-based seeding
-    makes the result independent of the worker count.  When a block expects
-    more than ``_CHUNK`` level-0 pairs, each worker takes one contiguous run
-    of blocks and cuts it into batches; any other run uses one thread.
+    restarts both children after a failure.  Block b draws from its own
+    generator, seeded by ``[seed, b]`` (see `block_rngs`), so the result is
+    independent of the worker count.  Runs of blocks go to the workers only
+    when a block expects more than ``_CHUNK`` level-0 pairs.
     """
     if n < 0:
         raise ValueError("nesting level must be nonnegative")
@@ -383,7 +431,7 @@ def simulate_waiting_time(n: int, p_g: float, p_s: float, seed: int,
         raise ValueError("success probabilities must lie in (0, 1]")
     blocks = (trials + _BLOCK - 1) // _BLOCK
     # threads pay only when blocks stream their draws, which release the
-    # GIL; batched small blocks spend their time in RNG set-up, which holds it
+    # GIL; batched small blocks spend their time in small draws, which hold it
     streamed = check_chain_depth(n, p_s) > math.log2(_CHUNK)
     workers = min(worker_count(), blocks if streamed else 1)
 

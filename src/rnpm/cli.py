@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import optimize
-from .chain import (GeometryKind, Hardware, ChainConfig, check_chain_depth,
-                    expected_max_geometric, generation_perf,
+from .chain import (GeometryKind, Hardware, ChainConfig, block_rngs,
+                    check_chain_depth, expected_max_geometric, generation_perf,
                     simulate_waiting_time, swap_perf, waiting_time_stats)
 from .formulas import (DetectorKind, DetectorModel, InteractionParams,
                        LinkGeometry, TruncationError, link_transmittance,
@@ -300,9 +300,9 @@ def _montecarlo_rnpm(b: dict, hw: Hardware, seed: int, trials: int) -> list[dict
     # fixed-block sampling for worker-count-independent determinism
     block_sz = 4096
     succ = errs = 0
-    for b_idx, done in enumerate(range(0, trials, block_sz)):
+    starts = range(0, trials, block_sz)
+    for done, rng in zip(starts, block_rngs(seed, range(len(starts)))):
         cnt = min(block_sz, trials - done)
-        rng = np.random.default_rng([seed, b_idx])
         eps = eps_of[rng.choice(len(keys), size=cnt, p=probs)]
         u = rng.random(cnt)
         succ += int(np.count_nonzero(eps >= 0.0))

@@ -140,6 +140,17 @@ class TestRecursions:
         assert eps2 >= eps - 1e-15
         assert eps2 <= 0.5
 
+    def test_underflowing_swap_is_infeasible(self):
+        # beta_s^2 = 900 puts p_s at 0 for a single-photon detector
+        c = ChainConfig(200.0, 1, 0.1, 30.0, HW)
+        assert swap_perf(30.0, HW)[0] == 0.0
+        assert chain_closed_form(c).T_avg == math.inf
+        assert chain_iterated(c).T_avg == math.inf
+        # p_s > 0 whose square underflows
+        with mock.patch.object(chain, "swap_perf", lambda *a: (1e-200, 0.1)):
+            assert chain_closed_form(cfg(n=2)).T_avg == math.inf
+            assert chain_iterated(cfg(n=2)).T_avg == math.inf
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             cfg(n=-1)
@@ -241,6 +252,36 @@ class TestMonteCarlo:
     def test_p_one_is_deterministic_unit(self):
         samples = simulate_waiting_time(0, 1.0, 1.0, seed=0, trials=100)
         assert np.all(samples == 1.0)
+
+
+class TestSeeding:
+    """`block_rngs` against numpy's own ``default_rng([seed, block])``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3,
+                                      2 ** 96 + 1, 10 ** 40])
+    @pytest.mark.parametrize("blocks", [range(0, 70), range(5000, 5003),
+                                        range(2 ** 31 - 2, 2 ** 31 + 2),
+                                        range(2 ** 32 - 3, 2 ** 32)])
+    def test_states_equal_default_rng(self, seed, blocks):
+        # 1 to 5 seed words: from 4 words on, numpy mixes the block's word
+        # in after the pool
+        got = [rng.bit_generator.state for rng in chain.block_rngs(seed, blocks)]
+        assert got == [np.random.default_rng([seed, b]).bit_generator.state
+                       for b in blocks]
+
+    def test_refuses_what_numpy_would_seed_otherwise(self):
+        # a negative seed is no SeedSequence word; block 2^32 would be two
+        # words, and a uint32 block range would wrap it to block 0
+        with pytest.raises(ValueError):
+            chain.block_rngs(-1, range(1))
+        with pytest.raises(ValueError):
+            chain.block_rngs(0, range(2 ** 32, 2 ** 32 + 1))
+
+    def test_wide_run_identical_to_reference(self):
+        # 3,125 blocks, seeded at once, as the benchmark's n = 1 op draws them
+        got = simulate_waiting_time(1, 0.01, 1.0, 987654321, 200_000)
+        want = reference_waiting_time(1, 0.01, 1.0, 987654321, 200_000)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStreamingSampler:

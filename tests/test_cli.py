@@ -509,22 +509,30 @@ class TestConfigHandling:
         assert run(["perf", "--config", str(path)], stdout=out) == 0
 
 
-def test_import_loads_no_scipy():
+def imported_by_cli(prefix):
+    """Names under ``prefix`` in ``sys.modules`` after a fresh
+    ``import rnpm.cli``, sorted."""
     code = ("import sys, rnpm.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True)
-    assert r.stdout.strip() == "[]"
+    return r.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert imported_by_cli("scipy") == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy.random loads when a sampler runs, which keeps import time and
+    # the resident size of commands that draw nothing down
+    assert imported_by_cli("numpy.random") == "[]"
 
 
 def test_import_loads_only_what_every_subcommand_needs():
     # optics, distill and gadgets are imported by the commands that run them
-    code = ("import sys, rnpm.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('rnpm')))\n")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, check=True)
-    assert r.stdout.strip() == str(["rnpm", "rnpm.chain", "rnpm.cli",
-                                    "rnpm.formulas", "rnpm.optimize"])
+    assert imported_by_cli("rnpm") == str(["rnpm", "rnpm.chain", "rnpm.cli",
+                                           "rnpm.formulas", "rnpm.optimize"])
 
 
 def test_every_public_name_resolves():
