@@ -260,6 +260,7 @@ def _montecarlo_waiting(b: dict, hw: Hardware, geometry: GeometryKind,
     # reject a chain that no p_s could sample before 2 ** n is formed
     check_chain_depth(n, 1.0)
     L_km = float(b["L_km"] if b["L_km"] is not None else 20.0 * 2 ** n)
+    named = "montecarlo.p_g and montecarlo.p_s"
     if b["p_g"] is not None:
         p_g, p_s = float(b["p_g"]), float(b["p_s"])
     else:
@@ -267,6 +268,10 @@ def _montecarlo_waiting(b: dict, hw: Hardware, geometry: GeometryKind,
         cfg = ChainConfig(L_km, n, bg, bs, hw, geometry)
         p_g = generation_perf(bg, hw, cfg.l0_km, geometry)[0]
         p_s = swap_perf(bs, hw)[0] if n else 1.0
+        named = "montecarlo.beta_g_sq and montecarlo.beta_s_sq"
+    # draws clamp at 2^63 - 1 and int64 slot sums wrap: keep 2^7 of headroom
+    _require(not p_g > 0.0 < p_s or 1.5 ** n < 2.0 ** 56 * p_g * p_s ** n,
+             f"{named} give a predicted time 1.5^n/(p_g p_s^n) of 2^56 or more")
     samples = simulate_waiting_time(n, p_g, p_s, seed, trials)
     mean, se = waiting_time_stats(samples)
     unit = (L_km / 2 ** n) * 1e3 / hw.c_m_per_s
@@ -340,9 +345,15 @@ def cmd_optics(config: dict, args, out) -> int:
         alpha, theta = float(alpha), float(theta)
         beta = alpha * math.sin(theta / 2.0)
         _require(beta >= 0.0, "optics.alpha * sin(optics.theta / 2) must be >= 0")
+        _require(alpha < 1e153, "optics.alpha must be < 1e153, so alpha^2 is finite")
         par = InteractionParams(beta, alpha, theta)
     else:
         par = InteractionParams(math.sqrt(float(b["beta_sq"])))
+    # a mode's mean count is <= 2 beta^2, and the number-resolving outcome
+    # grid grows as beta^4: 2.8e5 outcomes and 3 s at beta^2 = 200
+    _require(hw.detector.kind is not DetectorKind.NUMBER_RESOLVING
+             or par.beta ** 2 <= 1e4, "optics.beta_sq, or (optics.alpha * "
+             "sin(optics.theta / 2))^2, must be <= 1e4 for number_resolving")
     initial = b["initial_state"]
     initial = None if initial is None else np.asarray(initial, dtype=complex)
     cfg = optics.ProtocolConfig(par, _link_geometry(b, hw), hw.detector,

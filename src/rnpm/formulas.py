@@ -6,9 +6,10 @@ splitter and counts photons.  The success probability ``p`` and the
 conditional phase-error probability ``epsilon`` of one attempt are fully
 determined by the joint distribution Q(k, l) of the total photon number k
 emitted and the total count l announced by the detectors.  This module holds
-the closed forms for the three detector types together with an independent
-brute-force summation oracle over the Q(k, l) table, and the Poisson tail
-and cutoff helpers that size every truncated sum in the package.
+the closed forms for the three detector types, an independent oracle that
+builds Q's parity classes from per-arm parity sums in O(K^2) for a photon
+cutoff K <= ORACLE_K_CAP, and the Poisson tail and cutoff helpers that size
+every truncated sum in the package.
 """
 
 from __future__ import annotations
@@ -226,80 +227,60 @@ def performance(detector: DetectorModel, params: InteractionParams,
     return PerfPoint(p=p, epsilon=eps)
 
 
-def k_max_for(lam: float, tail: float = 1e-12, cap: int = 200) -> int:
+#: largest cutoff K of ``performance_oracle``: O(K^2) time, O(K) memory
+ORACLE_K_CAP = 2000
+
+
+def k_max_for(lam: float, tail: float = 1e-12, cap: int = ORACLE_K_CAP) -> int:
     """Smallest k with Poisson upper-tail mass <= tail, capped at ``cap``."""
     if lam <= 0:
         return 1
     return poisson_cutoff(lam, tail, max(1, int(lam)), cap)
 
 
-def _q_table(params: InteractionParams, T_A: float, T_B: float, eta: float,
-             k_max: int) -> np.ndarray:
-    """Q(k, l) for 0 <= l <= k <= k_max via the per-arm double-sum definition.
-
-    The direct 2D convolution of the per-arm joint tables
-    A[k_a, l_a] = B_{eta T_A}(l_a | k_a) P_{beta^2/T_A}(k_a) (same for arm B),
-    deliberately avoiding the closed form so this stays an independent oracle.
-    Every term is a nonnegative product, so exact zeros stay exactly zero.
-    """
-    b2 = params.beta ** 2
-    n = range(k_max + 1)
-    A, B = (np.array([[binomial_pmf(eta * T, l, k) for l in n] for k in n])
-            * np.array([poisson_pmf(b2 / T, k) for k in n])[:, None]
-            for T in (T_A, T_B))
-    # row k_a of A shifts B by k_a photons; S[l_b, l] = A[k_a, l - l_b]
-    lag = np.arange(k_max + 1)[None, :] - np.arange(k_max + 1)[:, None]
-    Q = np.zeros((k_max + 1, k_max + 1))
-    for ka in n:
-        S = np.where(lag >= 0, A[ka][np.maximum(lag, 0)], 0.0)
-        Q[ka:] += (B @ S)[: k_max + 1 - ka]
-    return Q
+def _arm_parity_sums(arm: str, b2: float, T: float, eta: float) -> np.ndarray:
+    """Rows k even and odd of sum_k B_q(l | k) P_lam(k), by l, for lam =
+    b2/T, q = eta T and k up to the Poisson tail 1e-16 min(1, lam)^2: the
+    arm's terms of p epsilon scale as lam^2. B_q(. | k) follows by Pascal's
+    rule, with 1 - q to a few ulp even where eta T is near 1; q + (1 - q)
+    rounds to 1 + d, so row k is divided by (1 + d)^k lest the mass drift."""
+    lam, q, r = b2 / T, eta * T, (1.0 - eta) + eta * (1.0 - T)
+    tail = 1e-16 * min(1.0, lam) ** 2
+    if not lam <= ORACLE_K_CAP or poisson_sf(K := k_max_for(lam, tail), lam) > tail:
+        raise TruncationError(f"arm {arm}: photon-number mean beta^2/T_{arm} = "
+                              f"{lam!r} needs an oracle k_max > {ORACLE_K_CAP}")
+    w = np.array([poisson_pmf(lam, k) for k in range(K + 1)])
+    w *= np.exp(-np.arange(K + 1) * math.log1p(math.fsum((q, r, -1.0))))
+    sums, row = np.zeros((2, K + 1)), np.zeros(K + 2)
+    row[0] = 1.0
+    for k in range(K + 1):  # row holds B_q(. | k), zero past l = k
+        sums[k % 2, :k + 1] += w[k] * row[:k + 1]
+        row[1:k + 2] = r * row[1:k + 2] + q * row[:k + 1]
+        row[0] *= r
+    return sums
 
 
 def performance_oracle(detector: DetectorModel, params: InteractionParams,
-                       T_A: float, T_B: float, k_max: int | None = None,
-                       tail: float = 1e-16) -> PerfPoint:
-    """(p, epsilon) by finite summation over the Q(k, l) table.
+                       T_A: float, T_B: float) -> PerfPoint:
+    """(p, epsilon) by finite sums over the Poisson-binomial photon model.
 
-    Truncation point is chosen so that the Poisson tail of the total photon
-    number beyond ``k_max`` is below ``tail``; a TruncationError is raised if
-    the table mass falls short of that.
+    Arm X sends Poisson(beta^2/T_X) photons and counts Binomial(k_X, eta T_X)
+    of them. An attempt errs when the photon number k minus the announced
+    count is odd, so each arm reduces to sums by k_X parity and count l_X,
+    and the totals are 1-D convolutions: O(K^2) for the cutoffs K of the
+    arms, which raise TruncationError past ORACLE_K_CAP.
     """
     eta = detector.efficiency
     _check_transmittances(T_A, T_B, eta)
     b2 = params.beta ** 2
-    lam = b2 * (1.0 / T_A + 1.0 / T_B)
-    if not lam <= 1e8:  # a tail check sums O(sqrt(lam)) terms; no k_max fits
-        raise TruncationError(f"total photon-number mean {lam} must be <= 1e8")
-    if k_max is None:
-        k_max = k_max_for(lam, tail)
-    if poisson_sf(k_max, lam) > tail:
-        raise TruncationError(
-            f"k_max={k_max} leaves Poisson tail above {tail}; "
-            f"need k_max >= {k_max_for(lam, tail, cap=10_000)}")
-    Q = _q_table(params, T_A, T_B, eta, k_max)
-    mass = Q.sum()
-    if mass < 1.0 - 100 * tail:
-        raise TruncationError(f"Q table mass {mass} too far below 1")
-
-    ks = np.arange(k_max + 1)[:, None]
-    ls = np.arange(k_max + 1)[None, :]
-    signs = np.where((ks - ls) % 2 == 0, 1.0, -1.0)
-
-    if detector.kind is DetectorKind.NUMBER_RESOLVING:
-        chi_plus = Q.sum(axis=0)
-        chi_minus = (signs * Q).sum(axis=0)
-        p = chi_plus[1:].sum()
-        num = (chi_plus[1:] - chi_minus[1:]).sum()
-    else:
-        # single photon: only l = 1 is announced, everything else reads l = 0;
-        # threshold: any l >= 1 collapses to the announced count 1
-        if detector.kind is DetectorKind.SINGLE_PHOTON:
-            col = Q[:, 1]
-        else:
-            col = np.tril(Q)[:, 1:].sum(axis=1)
-        p = col.sum()
-        num = p - (np.where(ks[:, 0] % 2 == 1, 1.0, -1.0) * col).sum()
-
-    eps = num / (2.0 * p) if p > 0 else 0.0
-    return PerfPoint(p=float(p), epsilon=float(eps))
+    (even_a, odd_a), (even_b, odd_b) = (_arm_parity_sums(arm, b2, T, eta)
+                                        for arm, T in (("A", T_A), ("B", T_B)))
+    even = np.convolve(even_a, even_b) + np.convolve(odd_a, odd_b)  # k even, by l
+    odd = np.convolve(even_a, odd_b) + np.convolve(odd_a, even_b)
+    if detector.kind is DetectorKind.SINGLE_PHOTON:  # announces l = 1 only
+        p, err = even[1] + odd[1], even[1]
+    else:  # a threshold detector announces any l >= 1 as 1
+        p = even[1:].sum() + odd[1:].sum()
+        err = (even[1::2].sum() + odd[2::2].sum()
+               if detector.kind is DetectorKind.NUMBER_RESOLVING else even[1:].sum())
+    return PerfPoint(p=float(p), epsilon=float(err / p) if p > 0 else 0.0)

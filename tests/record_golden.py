@@ -5,14 +5,19 @@
 Each case is a config and an argv. The corpus stores, per case, the stdout,
 the exit code and the first stderr line of one in-process ``cli.run``;
 ``tests/test_golden.py`` replays every case and compares the strings exactly.
-Re-record only in a change that states which outputs it changes and why.
+Re-record only in a change that states which outputs it changes and why: the
+script prints each case whose output differs from the corpus it replaces,
+with per-column counts of the moved cells and the largest move, and then the
+totals per column.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+import math
 import platform
 import sys
 import tempfile
@@ -69,6 +74,8 @@ def _extra_cases() -> list[tuple[str, list[str], dict]]:
         ("defaults-optics", ["optics"], {}),
         ("perf-all-detectors", ["perf", "--format", "json"],
          {"perf": {"beta_sq": [0.04], "detectors": list(DETECTORS)}}),
+        # an arm photon-number mean of 102: the oracle's K is about 190
+        ("perf-beta_sq-100", ["perf"], {"perf": {"beta_sq": [100]}}),
         ("repeater-detectors", ["repeater"],
          {"repeater": {"L_km": [300], "detectors": list(DETECTORS)}}),
         ("montecarlo-overrides", ["montecarlo", "--seed", "7", "--trials", "400"],
@@ -131,6 +138,12 @@ def _extra_cases() -> list[tuple[str, list[str], dict]]:
         ("optics", {"optics": {"initial_state": "x"}}),
         ("perf", {"perf": {"L_A_km": 1e5}}),
         ("perf", {"perf": {"beta_sq": [1e308]}}),
+        # exit 2 since the fields are named: wrong rows or unnamed faults before
+        ("montecarlo", {"montecarlo": {"n": 1, "p_g": 1e-300, "p_s": 0.3,
+                                       "trials": 64}}),
+        ("optics", {"optics": {"alpha": 1e200, "theta": 1e-200}}),
+        ("optics", {"hardware": {"detector": "number_resolving"},
+                    "optics": {"beta_sq": 1e300}}),
     ]
     errors = [(f"error-{i:02d}-{command}", [command], cfg)
               for i, (command, cfg) in enumerate(bad)]
@@ -150,6 +163,77 @@ def run_case(cli, argv: list[str], config: dict, tmp: Path) -> tuple[str, int, s
     return out.getvalue(), code, (err.getvalue().splitlines() or [""])[0]
 
 
+def cells(stdout: str) -> list[tuple[str, object]]:
+    """(column, value) of every cell of a CSV or JSON output, in order; a
+    JSON value's column is the key it sits under."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(stdout)))
+        return [pair for row in rows[1:] for pair in zip(rows[0], row)]
+    found = []
+
+    def walk(value, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, k)
+        elif isinstance(value, list):
+            for v in value:
+                walk(v, key)
+        else:
+            found.append((key, value))
+
+    walk(doc, "")
+    return found
+
+
+def moved_cells(old: str, new: str) -> dict[str, tuple[int, float]] | None:
+    """Column -> (cells that differ, largest absolute move) between two
+    outputs; None when their shape differs. A non-numeric move counts as inf."""
+    a, b = cells(old), cells(new)
+    if [c for c, _ in a] != [c for c, _ in b]:
+        return None
+    moved = {}
+    for (col, x), (_, y) in zip(a, b):
+        if x != y:
+            try:
+                move = abs(float(x) - float(y))
+            except (TypeError, ValueError):
+                move = math.inf
+            count, largest = moved.get(col, (0, 0.0))
+            moved[col] = (count + 1, max(largest, move))
+    return moved
+
+
+def report_changes(old_cases: list[dict], new_cases: list[dict], out) -> None:
+    """Print each case whose record differs from ``old_cases``, then the
+    per-column totals of the moved cells."""
+    old = {c["name"]: c for c in old_cases}
+    totals = {}
+    for case in new_cases:
+        before = old.pop(case["name"], None)
+        if before is None:
+            print(f"{case['name']}: new, exit {case['exit']}", file=out)
+            continue
+        notes = [f"{key} {before[key]!r} -> {case[key]!r}"
+                 for key in ("argv", "config", "exit", "stderr")
+                 if before[key] != case[key]]
+        moved = moved_cells(before["stdout"], case["stdout"])
+        if moved is None:
+            notes.append("stdout changed shape")
+        for col, (count, largest) in sorted((moved or {}).items()):
+            notes.append(f"{col} {count} cells, largest move {largest:.3g}")
+            n_cases, n_cells, top = totals.get(col, (0, 0, 0.0))
+            totals[col] = (n_cases + 1, n_cells + count, max(top, largest))
+        if notes:
+            print(f"{case['name']}: " + "; ".join(notes), file=out)
+    for name in old:
+        print(f"{name}: removed", file=out)
+    for col, (n_cases, n_cells, top) in sorted(totals.items()):
+        print(f"total {col}: {n_cells} cells in {n_cases} cases, largest move "
+              f"{top:.3g}", file=out)
+
+
 def main() -> None:
     from rnpm import cli
 
@@ -161,6 +245,9 @@ def main() -> None:
                             "exit": code, "stdout": stdout, "stderr": stderr})
     doc = {"python": platform.python_version(), "numpy": np.__version__,
            "cases": records}
+    if CORPUS.exists():
+        report_changes(json.loads(CORPUS.read_text())["cases"], records,
+                       sys.stdout)
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(doc, indent=1) + "\n")
     codes = sorted({r["exit"] for r in records})

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rnpm.chain import simulate_waiting_time
 from rnpm.cli import FIELDS, parse_hardware, run
 from rnpm.formulas import InteractionParams, LinkGeometry
 from rnpm.optics import (ProtocolConfig, outcome_parity, phase_error_split,
@@ -272,6 +273,24 @@ class TestMontecarlo:
         assert code == 0
         assert parse_csv(text)[1][0]["predicted"] == predicted
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(0, 3), p_g=st.floats(-700.0, 0.0).map(math.exp),
+           p_s=st.floats(0.1, 1.0), seed=st.integers(0, 2 ** 32))
+    def test_accepted_waiting_chain_samples_are_sane(self, tmp_path, n, p_g,
+                                                     p_s, seed):
+        cfg = {"montecarlo": {"n": n, "p_g": p_g, "p_s": p_s, "trials": 64,
+                              "seed": seed}}
+        code, text = invoke(tmp_path, "montecarlo", cfg)
+        if not 1.5 ** n < 2.0 ** 56 * p_g * p_s ** n:
+            assert code == 2 and text == ""
+            return
+        assert code == 0
+        row = parse_csv(text)[1][0]
+        mean, se = float(row["empirical_mean"]), float(row["std_error"])
+        assert mean >= 1.0 and math.isfinite(mean) and math.isfinite(se)
+        assert simulate_waiting_time(n, p_g, p_s, seed, 64).min() >= 1.0
+
     def test_negative_level_is_config_error(self, tmp_path):
         cfg = {"montecarlo": {"n": -1, "p_g": 0.5, "trials": 10}}
         code, _ = invoke(tmp_path, "montecarlo", cfg)
@@ -461,6 +480,18 @@ class TestConfigHandling:
          "optics.alpha must be a finite number >= 0"),
         ("optics", {"optics": {"alpha": math.inf, "theta": 0}},
          "optics.alpha must be a finite number >= 0"),
+        # not the valid T_A: alpha^2 overflows
+        ("optics", {"optics": {"alpha": 1e200, "theta": 1e-200}},
+         "optics.alpha must be < 1e153"),
+        # not "math domain error" from the outcome grid's cutoff
+        ("optics", {"hardware": {"detector": "number_resolving"},
+                    "optics": {"beta_sq": 1e300}}, "optics.beta_sq"),
+        # the sampler's int64 slot sums would wrap (the mean read 6.3e18)
+        ("montecarlo", {"montecarlo": {"n": 1, "p_g": 1e-300, "p_s": 0.3,
+                                       "trials": 64}},
+         "montecarlo.p_g and montecarlo.p_s give a predicted time"),
+        ("montecarlo", {"montecarlo": {"beta_g_sq": 1e-30, "trials": 64}},
+         "montecarlo.beta_g_sq and montecarlo.beta_s_sq give"),
     ])
     def test_message_names_the_field(self, tmp_path, capsys, command, cfg,
                                      named):

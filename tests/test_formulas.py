@@ -1,15 +1,15 @@
-"""Closed-form link statistics against the brute-force Q-table oracle."""
+"""Closed-form link statistics against the per-arm parity-sum oracle."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rnpm.formulas import _check_transmittances, _q_table
-from rnpm.formulas import (DetectorKind, DetectorModel, InteractionParams,
-                           LinkGeometry, PerfPoint, TruncationError,
-                           binomial_pmf, k_max_for,
+from rnpm.formulas import _check_transmittances
+from rnpm.formulas import (ORACLE_K_CAP, DetectorKind, DetectorModel,
+                           InteractionParams, LinkGeometry, PerfPoint,
+                           TruncationError, binomial_pmf, k_max_for,
                            link_transmittance, performance,
                            performance_oracle, poisson_cutoff, poisson_pmf,
                            poisson_sf, success_log_slope, success_peak,
@@ -18,8 +18,7 @@ from rnpm.formulas import (DetectorKind, DetectorModel, InteractionParams,
 ALL_KINDS = list(DetectorKind)
 
 
-# Closed forms of Q(k, l) and of the chi sums, kept as test references for
-# the Q-table oracle.
+# Closed forms of Q(k, l) and of the chi sums, kept as test references.
 
 def q_infty(k: int, l: int, params: InteractionParams, T_A: float, T_B: float,
             eta: float) -> float:
@@ -100,23 +99,33 @@ class TestQInfty:
         assert q_infty(0, 0, par, 0.8, 0.8, 1.0) == pytest.approx(1.0)
         assert q_infty(1, 0, par, 0.8, 0.8, 1.0) == 0.0
 
-    def test_q_table_is_the_per_arm_double_sum(self):
-        par, T_A, T_B, eta, K = InteractionParams(0.5), 0.4, 0.7, 0.8, 12
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_oracle_is_the_per_arm_double_sum(self, kind):
+        # Q(k, l) summed term by term over both arms' photon numbers and
+        # counts; at K = 24 the Poisson tails of 0.625 and 0.357 are < 1e-30
+        par, T_A, T_B, eta, K = InteractionParams(0.5), 0.4, 0.7, 0.8, 24
 
-        def arm(T, k, l):
-            return binomial_pmf(eta * T, l, k) * poisson_pmf(0.25 / T, k)
+        def arm(T):
+            return [(k, l, binomial_pmf(eta * T, l, k) * poisson_pmf(0.25 / T, k))
+                    for k in range(K + 1) for l in range(k + 1)]
 
-        ref = np.zeros((K + 1, K + 1))
-        for k in range(K + 1):
-            for l in range(k + 1):
-                ref[k, l] = math.fsum(
-                    arm(T_A, ka, la) * arm(T_B, k - ka, l - la)
-                    for ka in range(k + 1) for la in range(min(ka, l) + 1))
-        Q = _q_table(par, T_A, T_B, eta, K)
-        assert np.allclose(Q, ref, rtol=1e-14, atol=0.0)
-        assert np.all(np.triu(Q, 1) == 0.0)
+        terms = {}
+        for ka, la, a in arm(T_A):
+            for kb, lb, b in arm(T_B):
+                terms.setdefault((ka + kb, la + lb), []).append(a * b)
+        Q = {kl: math.fsum(t) for kl, t in terms.items()}
         assert Q[K, 3] == pytest.approx(q_infty(K, 3, par, T_A, T_B, eta),
                                         rel=1e-12)
+        # the announced count; an attempt errs when k minus it is odd
+        shown = {DetectorKind.NUMBER_RESOLVING: lambda l: l,
+                 DetectorKind.SINGLE_PHOTON: lambda l: 1 if l == 1 else 0,
+                 DetectorKind.THRESHOLD: lambda l: min(l, 1)}[kind]
+        p = math.fsum(q for (k, l), q in Q.items() if shown(l) > 0)
+        err = math.fsum(q for (k, l), q in Q.items()
+                        if shown(l) > 0 and (k - shown(l)) % 2)
+        po = performance_oracle(DetectorModel(kind, eta), par, T_A, T_B)
+        assert po.p == pytest.approx(p, rel=1e-14)
+        assert po.epsilon == pytest.approx(err / p, rel=1e-14)
 
     def test_l_greater_than_k_vanishes(self):
         par = InteractionParams(0.2)
@@ -270,9 +279,73 @@ class TestOracleAgreement:
         assert 0.0 <= pf.epsilon <= 0.5
 
     def test_truncation_error_raised(self):
+        # an arm mean of 1650 fits K <= ORACLE_K_CAP at tail 1e-16; 1700
+        # does not, nor do means past the cap, inf or nan
         det = DetectorModel(DetectorKind.NUMBER_RESOLVING, 0.9)
-        with pytest.raises(TruncationError):
-            performance_oracle(det, InteractionParams(1.0), 0.1, 0.1, k_max=2)
+        assert k_max_for(1650.0, 1e-16) < ORACLE_K_CAP
+        performance_oracle(det, InteractionParams(math.sqrt(1650.0)), 1.0, 1.0)
+        for b2 in (1700.0, 1.5 * ORACLE_K_CAP, 1e300, math.inf, math.nan):
+            with pytest.raises(TruncationError, match="arm A: .* k_max > 2000"):
+                performance_oracle(det, InteractionParams(math.sqrt(b2)), 1.0, 0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS),
+           b2=st.floats(math.log(1e-12), math.log(2e3)).map(math.exp),
+           T_A=st.floats(math.log(1e-6), 0.0).map(math.exp),
+           T_B=st.floats(math.log(1e-6), 0.0).map(math.exp),
+           eta=st.floats(0.0, 1.0))
+    def test_matches_closed_form_wherever_it_runs(self, kind, b2, T_A, T_B,
+                                                  eta):
+        par, det = InteractionParams(math.sqrt(b2)), DetectorModel(kind, eta)
+        try:
+            po = performance_oracle(det, par, T_A, T_B)
+        except TruncationError:
+            assert max(par.beta ** 2 / T_A, par.beta ** 2 / T_B) > 1600
+            return
+        pf = performance(det, par, T_A, T_B)
+        # below normal range the terms lose their relative precision; p = 0
+        # leaves epsilon undefined, and the oracle reports 0
+        if pf.p > 1e-290:
+            assert abs(po.p - pf.p) <= 1e-13 * pf.p
+            # the closed form's rate 1/T_A + 1/T_B - 2 eta cancels where
+            # eta T is near 1 (test_matches_mpmath holds the oracle there)
+            rounding = 1e-15 * par.beta ** 2 * (1 / T_A + 1 / T_B + 2 * eta)
+            assert abs(po.epsilon - pf.epsilon) <= 1e-13 * pf.epsilon + rounding
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3, 0.45])
+    def test_large_arm_mean_keeps_its_mass(self, eta):
+        # q + fl(1 - q) = 1 + d for q = eta T: over ~2,000 Pascal rows an
+        # uncorrected d would move p by about 1e-13
+        det = DetectorModel(DetectorKind.NUMBER_RESOLVING, eta)
+        par = InteractionParams(math.sqrt(800.0))
+        assert performance_oracle(det, par, 0.5, 1.0).p == pytest.approx(
+            performance(det, par, 0.5, 1.0).p, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS),
+           b2=st.floats(math.log(1e-7), math.log(0.1)).map(math.exp),
+           T_A=st.floats(0.01, 1.0), T_B=st.floats(0.01, 1.0),
+           eta=st.floats(0.05, 1.0))
+    # eta T near 1, where 1 - eta T must not be formed from the rounded product
+    @example(kind=DetectorKind.NUMBER_RESOLVING, b2=math.exp(-3.0), T_A=1.0,
+             T_B=0.998046875, eta=0.99999)
+    @example(kind=DetectorKind.NUMBER_RESOLVING, b2=0.04, T_A=1.0,
+             T_B=1.0 - 3e-9, eta=1.0 - 1e-9)
+    def test_matches_mpmath(self, kind, b2, T_A, T_B, eta):
+        """p and epsilon of the photon model at 40 digits, where the closed
+        forms are exact."""
+        mp = pytest.importorskip("mpmath")
+        beta = math.sqrt(b2)
+        po = performance_oracle(DetectorModel(kind, eta), InteractionParams(beta),
+                                T_A, T_B)
+        with mp.workdps(40):
+            b2, T_A, T_B, eta = mp.mpf(beta) ** 2, mp.mpf(T_A), mp.mpf(T_B), mp.mpf(eta)
+            x = 2 * b2 * eta
+            p = x * mp.exp(-x) if kind is DetectorKind.SINGLE_PHOTON else -mp.expm1(-x)
+            c = 1 / T_A + 1 / T_B - (eta if kind is DetectorKind.THRESHOLD else 2 * eta)
+            eps = -mp.expm1(-2 * b2 * c) / 2
+            assert abs(po.p - p) <= 1e-14 * p
+            assert abs(po.epsilon - eps) <= 1e-14 * eps
 
     def test_k_max_for_grows_with_lambda(self):
         assert k_max_for(0.01) <= k_max_for(1.0) <= k_max_for(10.0)

@@ -3,6 +3,7 @@
 Record the corpus with ``PYTHONPATH=src python tests/record_golden.py``.
 """
 
+import io
 import json
 import math
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from rnpm import cli
-from record_golden import CORPUS, run_case
+from record_golden import CORPUS, report_changes, run_case
 
 DOC = json.loads(CORPUS.read_text())
 
@@ -59,3 +60,23 @@ def test_corpus_covers_the_contract():
                         for c in cases if "hardware" in c["config"]
                         and "geometry" in c["config"])
     assert CORPUS.stat().st_size < 200 * 1024
+
+
+def test_report_names_each_change_with_per_column_counts():
+    case = {"name": "a", "argv": ["perf"], "config": {}, "exit": 0,
+            "stderr": "", "stdout": "x,y,z\n1.0,2.0,q\n1.5,3.0,r\n"}
+    as_json = dict(case, name="j", stdout='[{"y": 1.0, "z": null}]')
+    old = [case, as_json, dict(case, name="same"), dict(case, name="gone")]
+    new = [dict(case, stdout="x,y,z\n1.0,2.5,q\n1.5,3.25,s\n"),
+           dict(as_json, stdout='[{"y": 1.25, "z": null}]'),
+           dict(case, name="same"),
+           dict(case, name="b", exit=2, stdout="")]
+    out = io.StringIO()
+    report_changes(old, new, out)
+    assert out.getvalue().splitlines() == [
+        "a: y 2 cells, largest move 0.5; z 1 cells, largest move inf",
+        "j: y 1 cells, largest move 0.25",
+        "b: new, exit 2",
+        "gone: removed",
+        "total y: 3 cells in 2 cases, largest move 0.5",
+        "total z: 1 cells in 1 cases, largest move inf"]
