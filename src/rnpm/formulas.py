@@ -112,7 +112,7 @@ def poisson_pmf(lam: float, k: int) -> float:
         return 0.0
     if lam == 0.0:
         return 1.0 if k == 0 else 0.0
-    if k < 16:
+    if k < 16 or k < 1e-15 * lam:  # for k << lam this underflows to 0.0
         return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
     # Loader's saddle-point form: the Stirling remainder of lgamma and the
     # deviance k log(k/lam) + lam - k, so no large logs cancel

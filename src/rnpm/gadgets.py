@@ -2,9 +2,11 @@
 
 Each gadget consumes a dense multi-qubit density matrix (qubit 0 is the most
 significant index) and returns the list of measurement outcomes with their
-probabilities and post-states.  The parity measurement itself is modelled as
-the ideal parity projection followed by a phase-flip channel of strength
-epsilon on the second involved qubit, with overall success probability p.
+probabilities and post-states.  Every gadget is the one parity measurement,
+``rnpm_channel``, plus single-qubit steps: X-basis readout, a Pauli fix-up or
+a Hadamard.  ``rnpm_channel`` is the ideal parity projection followed by a
+phase-flip channel of strength epsilon on the second involved qubit, with
+overall success probability p.
 """
 
 from __future__ import annotations
@@ -74,15 +76,13 @@ def phase_flip_channel(rho: np.ndarray, qubit: int, epsilon: float) -> np.ndarra
 
 
 def ptrace_remove(rho: np.ndarray, remove: tuple[int, ...]) -> np.ndarray:
-    """Partial trace removing the listed qubits."""
+    """Partial trace removing the listed qubits, highest index first, so the
+    axes of the qubits still to be removed do not move."""
     n = num_qubits(rho)
-    keep = [q for q in range(n) if q not in remove]
     t = rho.reshape([2] * (2 * n))
     for q in sorted(remove, reverse=True):
         t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
-        # after tracing qubit q, later qubit axes shift left by one, which is
-        # consistent because we remove from the highest index down
-    dim = 2 ** len(keep)
+    dim = 2 ** (n - len(remove))
     return t.reshape(dim, dim)
 
 
@@ -140,35 +140,35 @@ KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 
+def _parity_branches(rho: np.ndarray, qubits: tuple[int, int],
+                     epsilon: float) -> list[tuple[str, np.ndarray]]:
+    """(parity, weight * state) of each nonempty rnpm_channel branch at p = 1."""
+    return [(out.label[0], out.probability * out.state)
+            for out in rnpm_channel(rho, qubits, 1.0, epsilon)
+            if out.state is not None]
+
+
+def _x_readout(rho: np.ndarray, qubit: int):
+    """Yield (x, weight, state) of the X readout of ``qubit``, traced out."""
+    for x, ket in enumerate((KET_PLUS, KET_MINUS)):
+        w, s = project(rho, ket, qubit)
+        yield x, w, ptrace_remove(s, (qubit,))
+
+
 def bell_measurement(rho: np.ndarray, qubits: tuple[int, int],
                      epsilon: float) -> list[GadgetOutcome]:
-    """Bell measurement: parity measurement, Hadamards, Z-basis readout.
+    """Bell measurement: parity measurement, X readout of both qubits.
 
     Assumes the success branch of the parity measurement (the caller handles
     retries), so the outcome probabilities sum to 1.  The measured qubits are
     traced out; each outcome is labelled (parity, a, b) and carries the Bell
     state it projected onto (see ``bell_label``).
     """
-    n = num_qubits(rho)
     i, j = qubits
     outcomes = []
-    for parity, P in zip(_PARITIES, parity_projectors(i, j, n)):
-        sub = P @ rho @ P
-        w_par = float(np.trace(sub).real)
-        if w_par <= 1e-300:
-            continue
-        sub = phase_flip_channel(sub, j, epsilon)
-        U = op_on(H, i, n) @ op_on(H, j, n)
-        sub = U @ sub @ U.conjugate().T
-        for a in (0, 1):
-            for b in (0, 1):
-                ka = KET0 if a == 0 else KET1
-                kb = KET0 if b == 0 else KET1
-                w1, s1 = project(sub, ka, i)
-                del w1
-                w2, s2 = project(s1, kb, j)
-                post = ptrace_remove(s2, (i, j))
-                w = float(np.trace(post).real)
+    for parity, sub in _parity_branches(rho, qubits, epsilon):
+        for a, _, s in _x_readout(sub, i):
+            for b, w, post in _x_readout(s, j - (i < j)):
                 state = _normalize(post, w) if w > 1e-300 else None
                 outcomes.append(GadgetOutcome((parity, a, b), w, state))
     return outcomes
@@ -190,21 +190,14 @@ def parity_check(rho: np.ndarray, qubits: tuple[int, int],
     Z^x.  At epsilon = 0 this equals the C-NOT plus Z-measurement parity
     check on the kept qubit.
     """
-    n = num_qubits(rho)
-    a1, a2 = qubits
+    kept, probe = qubits
     outcomes = []
-    for parity, P in zip(_PARITIES, parity_projectors(a1, a2, n)):
-        sub = P @ rho @ P
-        if float(np.trace(sub).real) <= 1e-300:
-            continue
-        sub = phase_flip_channel(sub, a2, epsilon)
-        for x, kx in ((0, KET_PLUS), (1, KET_MINUS)):
-            w, s = project(sub, kx, a2)
-            post = ptrace_remove(s, (a2,))
+    for parity, sub in _parity_branches(rho, qubits, epsilon):
+        for x, w, post in _x_readout(sub, probe):
             if w <= 1e-300:
                 continue
             if x == 1:
-                zc = op_on(Z, a1 if a1 < a2 else a1 - 1, n - 1)
+                zc = op_on(Z, kept - (probe < kept), num_qubits(post))
                 post = zc @ post @ zc
             outcomes.append(GadgetOutcome((parity, x), w, _normalize(post, w)))
     return outcomes
@@ -223,15 +216,9 @@ def cluster_state(n: int) -> np.ndarray:
 
 def cluster_stabilizers(n: int) -> list[np.ndarray]:
     """K_i = X_i prod_{j in N(i)} Z_j for the linear cluster."""
-    ops = []
-    for q in range(n):
-        K = op_on(X, q, n)
-        if q > 0:
-            K = K @ op_on(Z, q - 1, n)
-        if q < n - 1:
-            K = K @ op_on(Z, q + 1, n)
-        ops.append(K)
-    return ops
+    return [kron(*[X if i == q else Z if abs(i - q) == 1 else I2
+                   for i in range(n)])
+            for q in range(n)]
 
 
 def cluster_extend(rho: np.ndarray, epsilon: float) -> list[GadgetOutcome]:

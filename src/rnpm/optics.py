@@ -20,7 +20,7 @@ import numpy as np
 
 from .formulas import (DetectorKind, DetectorModel, InteractionParams,
                        LinkGeometry, binomial_pmf, link_transmittance,
-                       poisson_cutoff, poisson_sf)
+                       poisson_cutoff)
 from .gadgets import PHI_PLUS, PSI_PLUS  # noqa: F401  (re-exported)
 
 SQRT2 = math.sqrt(2.0)
@@ -192,12 +192,13 @@ def _outcome_entry(rho0: np.ndarray, M: np.ndarray, m: int,
     return OutcomeEntry(prob, 0.5 * (rho_c + rho_c.conjugate().T))
 
 
-def _counts(detector: DetectorModel, d1, d2, tail: float = 1e-13) -> range:
-    """Announced photon counts per output mode: 0/1, or 0..m_max resolved."""
+def _counts(detector: DetectorModel, d1, d2) -> range:
+    """Announced photon counts per output mode: 0/1, or 0..m_max resolved,
+    m_max at a Poisson tail of 1e-13."""
     if detector.kind is not DetectorKind.NUMBER_RESOLVING:
         return range(2)
     lam = float(max(np.max(np.abs(d1) ** 2), np.max(np.abs(d2) ** 2)))
-    return range(poisson_cutoff(lam * detector.efficiency, tail, 4) + 1)
+    return range(poisson_cutoff(lam * detector.efficiency, 1e-13, 4) + 1)
 
 
 def run_protocol(config: ProtocolConfig) -> OutcomeEnsemble:
@@ -276,38 +277,28 @@ def _detector_diag(detector: DetectorModel, m: int, dim: int) -> np.ndarray:
     return 1.0 - noclick if m == 1 else noclick
 
 
-def required_n_max(config: ProtocolConfig, tail: float = 1e-12) -> int:
-    """Photon-number cutoff covering every coherent amplitude in the pipeline."""
+def required_n_max(config: ProtocolConfig) -> int:
+    """Photon-number cutoff covering every coherent amplitude in the pipeline,
+    at a Poisson tail of 1e-12."""
     alpha, theta = config.params.resolved()
     T_A, T_B = link_transmittance(config.geometry)
     _, d1, d2, _, _ = _final_branches(config)
     amps = [alpha / math.sqrt(T_A), alpha / math.sqrt(T_B), *np.abs(d1),
             *np.abs(d2), SQRT2 * alpha * abs(math.cos(theta / 2.0))]
     lam = max(a ** 2 for a in amps)
-    return poisson_cutoff(lam, tail, 8) + 6  # margin for displacement spillover
+    return poisson_cutoff(lam, 1e-12, 8) + 6  # margin for displacement spillover
 
 
-def fock_oracle(config: ProtocolConfig, n_max: int | None = None,
-                tail: float = 1e-10) -> OutcomeEnsemble:
+def fock_oracle(config: ProtocolConfig) -> OutcomeEnsemble:
     """Same contract as run_protocol, on a truncated number-state basis.
 
     Loss is applied with explicit Kraus operators, the half beam splitter is
     exponentiated from its quadratic generator, and displacements act as
     truncated unitaries.
     """
-    if n_max is None:
-        n_max = required_n_max(config)
     alpha, theta = config.params.resolved()
     T_A, T_B = link_transmittance(config.geometry)
-    dim = n_max + 1
-
-    # truncation pre-check on the largest pulse amplitude
-    lam = max(alpha ** 2 / T_A, alpha ** 2 / T_B)
-    if poisson_sf(n_max, lam) > tail:
-        raise ValueError(
-            f"n_max={n_max} insufficient for amplitude^2={lam:.3g}; "
-            f"need n_max >= {required_n_max(config, tail)}")
-
+    dim = required_n_max(config) + 1
     a1 = _annihilator(dim)
 
     # per-branch initial pulse kets with the interaction phases

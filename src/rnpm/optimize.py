@@ -110,8 +110,8 @@ def time_kernel(ns, L_km: float, F_target: float, hardware: Hardware,
 
 
 def optimize_chain(L_km: float, F_target: float, hardware: Hardware,
-                   geometry: GeometryKind = GeometryKind.MIDPOINT,
-                   n_max: int = N_MAX) -> OptimumRecord:
+                   geometry: GeometryKind = GeometryKind.MIDPOINT
+                   ) -> OptimumRecord:
     """Best (n, beta_g, beta_s) subject to F >= F_target; deterministic.
 
     For every n at once, beta_s^2 is BETA_SQ_HI where g <= 0 there, and
@@ -123,9 +123,9 @@ def optimize_chain(L_km: float, F_target: float, hardware: Hardware,
                         feasible=False, message="infeasible")
     rec.direct_seconds = direct_transmission_time(
         L_km, hardware.f_hz, hardware.detector.efficiency, hardware.L_att_km)
-    T_of, g_of = time_kernel(np.arange(n_max + 1), L_km, F_target, hardware,
+    T_of, g_of = time_kernel(np.arange(N_MAX + 1), L_km, F_target, hardware,
                              geometry)
-    lo, hi = np.full(n_max + 1, BETA_SQ_LO), np.full(n_max + 1, BETA_SQ_HI)
+    lo, hi = np.full(N_MAX + 1, BETA_SQ_LO), np.full(N_MAX + 1, BETA_SQ_HI)
     for _ in range(_HALVINGS):
         mid = np.sqrt(lo * hi)
         down = g_of(mid) <= 0.0
@@ -144,7 +144,7 @@ def optimize_chain(L_km: float, F_target: float, hardware: Hardware,
     rec.n, rec.beta_g_sq, rec.beta_s_sq = n, bg2, bs2
     rec.T_seconds, rec.F_achieved = res.T_avg, res.F
     rec.extras.update(
-        n_at_max=n == n_max, beta_g_sq_at_hi=bg2 == BETA_SQ_HI,
+        n_at_max=n == N_MAX, beta_g_sq_at_hi=bg2 == BETA_SQ_HI,
         beta_g_sq_at_peak=bg2 == success_peak(hardware.detector),
         beta_s_sq_at_bound=bs2 in (BETA_SQ_LO, BETA_SQ_HI))
     return rec

@@ -375,6 +375,15 @@ class TestPoissonTail:
         assert k_max_for(1e6) == 10 ** 6
         assert poisson_cutoff(1e6, 1e-12, 0, cap=50) == 50
 
+    @pytest.mark.parametrize("lam", [1e16, 1e18, 1e300])
+    def test_k_far_below_lambda_underflows_to_zero(self, lam):
+        # at lam >= 1e18, (k - lam)/lam rounds to -1 for k = 16; the pmf
+        # underflows there, and all the mass lies above k
+        for k in (15, 16, 17, 1000):
+            assert poisson_pmf(lam, k) == 0.0
+        assert poisson_sf(16, lam) == 1.0
+        assert poisson_cutoff(lam, 1e-12, 16, 20) == 20
+
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(0, 700), lam=st.floats(0.0, 500.0))
     def test_matches_scipy(self, k, lam):

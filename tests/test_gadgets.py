@@ -99,6 +99,20 @@ class TestBellMeasurement:
         assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-12)
 
 
+#: epsilon outside [0, 1/2], a repeated qubit, qubits out of range; the
+#: message tells the gadget's own check from a numpy error on a bad axis
+BAD_INPUTS = [((0, 1), -0.3, "epsilon"), ((0, 1), 0.9, "epsilon"),
+              ((1, 1), 0.1, "invalid qubit"), ((0, 5), 0.1, "invalid qubit"),
+              ((-1, 2), 0.1, "invalid qubit")]
+
+
+@pytest.mark.parametrize("gadget", [bell_measurement, parity_check])
+@pytest.mark.parametrize("qubits, eps, message", BAD_INPUTS)
+def test_gadgets_reject_bad_epsilon_and_qubits(gadget, qubits, eps, message):
+    with pytest.raises(ValueError, match=message):
+        gadget(two_pairs(), qubits, eps)
+
+
 class TestParityCheck:
     def test_equals_cnot_construction(self):
         # at eps = 0 the gadget equals C-NOT (kept -> probe) + Z readout
@@ -160,7 +174,52 @@ def dense_rnpm_channel(rho, qubits, p, eps):
     return outs + [(("fail",), 1.0 - p, None)]
 
 
+def dense_success_branches(rho, qubits, eps):
+    """dense_rnpm_channel at p = 1 as (parity, weight * state)."""
+    return [(label[0], prob * state)
+            for label, prob, state in dense_rnpm_channel(rho, qubits, 1.0, eps)
+            if state is not None]
+
+
+def dense_x_readout(rho, qubit, x):
+    """Project qubit onto |+> (x = 0) or |-> (x = 1) and trace it out."""
+    ket = (gadgets.KET_PLUS, gadgets.KET_MINUS)[x]
+    P = op_on(np.outer(ket, ket.conj()), qubit, num_qubits(rho))
+    s = P @ rho @ P
+    return float(np.trace(s).real), ptrace_remove(s, (qubit,))
+
+
 def dense_bell_measurement(rho, qubits, eps):
+    i, j = qubits
+    outs = []
+    for parity, sub in dense_success_branches(rho, qubits, eps):
+        for a, b in itertools.product((0, 1), repeat=2):
+            _, s1 = dense_x_readout(sub, i, a)
+            w, post = dense_x_readout(s1, j - 1 if i < j else j, b)
+            state = dense_normalize(post, w) if w > 1e-300 else None
+            outs.append(((parity, a, b), w, state))
+    return outs
+
+
+def dense_parity_check(rho, qubits, eps):
+    a1, a2 = qubits
+    outs = []
+    for parity, sub in dense_success_branches(rho, qubits, eps):
+        for x in (0, 1):
+            w, post = dense_x_readout(sub, a2, x)
+            if w <= 1e-300:
+                continue
+            if x == 1:
+                zc = op_on(gadgets.Z, a1 if a1 < a2 else a1 - 1,
+                           num_qubits(post))
+                post = zc @ post @ zc
+            outs.append(((parity, x), w, dense_normalize(post, w)))
+    return outs
+
+
+def hadamard_bell_measurement(rho, qubits, eps):
+    """Parity projection, phase flip of the unnormalized branch, Hadamards on
+    both qubits and Z-basis readout."""
     n = num_qubits(rho)
     i, j = qubits
     outs = []
@@ -181,7 +240,9 @@ def dense_bell_measurement(rho, qubits, eps):
     return outs
 
 
-def dense_parity_check(rho, qubits, eps):
+def unnormalized_parity_check(rho, qubits, eps):
+    """Parity projection and phase flip of the unnormalized branch, then
+    X readout of the probe and the Z^x fix-up."""
     n = num_qubits(rho)
     a1, a2 = qubits
     outs = []
@@ -212,18 +273,32 @@ def assert_outcomes_equal(got, want):
             assert np.array_equal(o.state, state)
 
 
+def assert_outcomes_close(got, want, tol=1e-15):
+    assert [o.label for o in got] == [w[0] for w in want]
+    for o, (_, prob, state) in zip(got, want):
+        assert abs(o.probability - prob) <= tol
+        assert (o.state is None) == (state is None)
+        if state is not None:
+            assert np.max(np.abs(o.state - state)) <= tol
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
 class TestDenseReferences:
     """The gadgets against their steps written out in this file: the dense
-    P rho P and Z rho Z forms, the projections and the partial traces."""
+    P rho P and Z rho Z forms, the X-basis projections and the partial
+    traces; and against the Hadamard-then-Z and unnormalized-branch forms."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([3, 4]), seed=st.integers(0, 2 ** 32 - 1),
            eps=st.floats(0.0, 0.5), p=st.floats(0.0, 1.0))
     def test_bit_identical_to_dense(self, n, seed, eps, p):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
+        rho = random_state(n, seed)
         for q in range(n):
             assert np.array_equal(phase_flip_channel(rho, q, eps),
                                   dense_phase_flip(rho, q, eps))
@@ -234,6 +309,17 @@ class TestDenseReferences:
                                   dense_bell_measurement(rho, pair, eps))
             assert_outcomes_equal(parity_check(rho, pair, eps),
                                   dense_parity_check(rho, pair, eps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([3, 4]), seed=st.integers(0, 2 ** 32 - 1),
+           eps=st.floats(0.0, 0.5))
+    def test_close_to_hadamard_and_unnormalized_forms(self, n, seed, eps):
+        rho = random_state(n, seed)
+        for pair in itertools.permutations(range(n), 2):
+            assert_outcomes_close(bell_measurement(rho, pair, eps),
+                                  hadamard_bell_measurement(rho, pair, eps))
+            assert_outcomes_close(parity_check(rho, pair, eps),
+                                  unnormalized_parity_check(rho, pair, eps))
 
     def test_kron_equals_numpy(self):
         rng = np.random.default_rng(5)

@@ -151,11 +151,6 @@ class TestFockOracle:
         cfg = config(DetectorKind.THRESHOLD, params=par)
         compare_ensembles(run_protocol(cfg), fock_oracle(cfg), 1e-8)
 
-    def test_insufficient_cutoff_raises(self):
-        cfg = config(DetectorKind.THRESHOLD, beta=0.5, geometry=LOSSY)
-        with pytest.raises(ValueError):
-            fock_oracle(cfg, n_max=1)
-
 
 GENERIC_THETA = InteractionParams(0.35 * math.sin(0.85), 0.35, 1.7)
 
