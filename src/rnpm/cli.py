@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import optimize
-from .chain import (GeometryKind, Hardware, ChainConfig, block_rngs,
+from .chain import (GeometryKind, Hardware, block_rngs,
                     check_chain_depth, expected_max_geometric, generation_perf,
                     simulate_waiting_time, swap_perf, waiting_time_stats)
 from .formulas import (DetectorKind, DetectorModel, InteractionParams,
@@ -265,8 +265,7 @@ def _montecarlo_waiting(b: dict, hw: Hardware, geometry: GeometryKind,
         p_g, p_s = float(b["p_g"]), float(b["p_s"])
     else:
         bg, bs = math.sqrt(float(b["beta_g_sq"])), math.sqrt(float(b["beta_s_sq"]))
-        cfg = ChainConfig(L_km, n, bg, bs, hw, geometry)
-        p_g = generation_perf(bg, hw, cfg.l0_km, geometry)[0]
+        p_g = generation_perf(bg, hw, L_km / 2 ** n, geometry)[0]
         p_s = swap_perf(bs, hw)[0] if n else 1.0
         named = "montecarlo.beta_g_sq and montecarlo.beta_s_sq"
     # draws clamp at 2^63 - 1 and int64 slot sums wrap: keep 2^7 of headroom

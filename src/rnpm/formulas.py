@@ -196,9 +196,10 @@ def epsilon_rate(detector: DetectorModel, T_A: float, T_B: float) -> float:
 
 def success_probability(kind: DetectorKind, eta, beta_sq):
     """p of one attempt, x e^{-x} for single-photon detectors and 1 - e^{-x}
-    otherwise, with x = 2 beta^2 eta; broadcasts over arrays."""
+    otherwise, with x = 2 beta^2 eta; broadcasts over arrays.  x is capped at
+    1e308, where p is already its limit 0 or 1, so an overflow gives no NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x = 2.0 * beta_sq * eta
+        x = np.minimum(2.0 * beta_sq * eta, 1e308)
         return x * np.exp(-x) if kind is DetectorKind.SINGLE_PHOTON else -np.expm1(-x)
 
 

@@ -12,6 +12,7 @@ overall success probability p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -34,22 +35,11 @@ BELL_VECTORS = {
 SWAP_CORRECTION = {"phi+": I2, "phi-": Z, "psi+": X, "psi-": Y}
 
 
-def kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of 2-D operators, left to right.
-
-    An outer product and a reshape: each entry is the same single product
-    as in numpy's Kronecker product, without its per-call Python overhead.
-    """
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        (r, c), (p, q) = out.shape, op.shape
-        out = (out[:, None, :, None] * op[None, :, None, :]).reshape(r * p, c * q)
-    return out
-
-
 def op_on(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Embed a single-qubit operator on the given qubit of an n-qubit system."""
-    return kron(*[op if i == qubit else I2 for i in range(n)])
+    # the 1x1 start gives a fresh array at n = 1, never ``op`` itself
+    return reduce(np.kron, [op if i == qubit else I2 for i in range(n)],
+                  np.ones((1, 1)))
 
 
 def num_qubits(rho: np.ndarray) -> int:
@@ -216,8 +206,8 @@ def cluster_state(n: int) -> np.ndarray:
 
 def cluster_stabilizers(n: int) -> list[np.ndarray]:
     """K_i = X_i prod_{j in N(i)} Z_j for the linear cluster."""
-    return [kron(*[X if i == q else Z if abs(i - q) == 1 else I2
-                   for i in range(n)])
+    return [reduce(np.kron, [X if i == q else Z if abs(i - q) == 1 else I2
+                             for i in range(n)], np.ones((1, 1)))
             for q in range(n)]
 
 
@@ -231,7 +221,7 @@ def cluster_extend(rho: np.ndarray, epsilon: float) -> list[GadgetOutcome]:
     """
     n = num_qubits(rho)
     plus = np.outer(KET_PLUS, KET_PLUS.conjugate())
-    big = kron(rho, plus)
+    big = np.kron(rho, plus)
     end, fresh = n - 1, n
     outcomes = []
     for out in rnpm_channel(big, (end, fresh), 1.0, epsilon):

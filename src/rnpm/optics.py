@@ -21,7 +21,7 @@ import numpy as np
 from .formulas import (DetectorKind, DetectorModel, InteractionParams,
                        LinkGeometry, binomial_pmf, link_transmittance,
                        poisson_cutoff)
-from .gadgets import PHI_PLUS, PSI_PLUS  # noqa: F401  (re-exported)
+from .gadgets import PHI_PLUS, PSI_PLUS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -79,14 +79,9 @@ def povm_overlap(detector: DetectorModel, m: int, gamma, gamma_prime):
         return resolved(m)
     if m not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1 for {detector.kind}, got {m}")
-    if detector.kind is DetectorKind.THRESHOLD:
-        if m == 0:
-            return resolved(0)
-        return np.exp(log_ov) - resolved(0)
-    # single photon: announced outcome is exactly one photon
-    if m == 1:
-        return resolved(1)
-    return np.exp(log_ov) - resolved(1)
+    # binary: resolve no photon (threshold) or one; the other is the rest
+    k = 0 if detector.kind is DetectorKind.THRESHOLD else 1
+    return resolved(k) if m == k else np.exp(log_ov) - resolved(k)
 
 
 @dataclass(frozen=True)
@@ -362,30 +357,15 @@ def fock_oracle(config: ProtocolConfig) -> OutcomeEnsemble:
 # Phase-error extraction
 # ---------------------------------------------------------------------------
 
-_P_EVEN = np.diag([1.0, 0.0, 0.0, 1.0])
-_P_ODD = np.diag([0.0, 1.0, 1.0, 0.0])
+def phase_error_split(rho: np.ndarray, parity: str):
+    """Decompose a success-conditional state as (1-eps) |phi> + eps Z_B |phi>.
 
-
-def phase_error_split(rho: np.ndarray, parity: str,
-                      initial: np.ndarray | None = None):
-    """Decompose a success-conditional state as (1-eps) P|phi> + eps Z_B P|phi>.
-
-    Returns (eps, residual) where residual is the Frobenius distance between
-    rho and the reconstructed two-term mixture.  ``initial`` is the pure input
-    state (|++> by default).
+    Assumes the |++> input that ``run_protocol`` uses by default: |phi> is
+    PHI_PLUS (even parity) or PSI_PLUS (odd).  Returns (eps, residual), where
+    residual is the Frobenius distance between rho and the two-term mixture.
     """
-    if initial is None:
-        initial = PLUS_PLUS
-    P = _P_EVEN if parity == "even" else _P_ODD
-    phi = P @ np.asarray(initial, dtype=complex)
-    nrm = np.linalg.norm(phi)
-    if nrm < 1e-15:
-        raise ValueError("input state has no support on the announced parity")
-    phi = phi / nrm
+    phi = PHI_PLUS if parity == "even" else PSI_PLUS
     phi_z = np.diag(Z_B) * phi
-    if abs(np.vdot(phi, phi_z)) > 1e-10:
-        raise ValueError("phase-flipped projection is not orthogonal; "
-                         "decomposition undefined for this input")
     w0 = float((phi.conjugate() @ rho @ phi).real)
     w1 = float((phi_z.conjugate() @ rho @ phi_z).real)
     eps = w1 / (w0 + w1) if w0 + w1 > 0 else 0.0
@@ -395,14 +375,13 @@ def phase_error_split(rho: np.ndarray, parity: str,
     return eps, residual
 
 
-def ensemble_performance(ensemble: OutcomeEnsemble,
-                         initial: np.ndarray | None = None):
-    """(p, epsilon) extracted from an outcome ensemble on a pure input."""
+def ensemble_performance(ensemble: OutcomeEnsemble):
+    """(p, epsilon) of an ensemble from run_protocol's default |++> input."""
     p = ensemble.success_probability()
     if p == 0.0:
         return 0.0, 0.0
     acc = 0.0
     for (m, n), entry in ensemble.success_items():
-        eps, _ = phase_error_split(entry.state, outcome_parity(m, n), initial)
+        eps, _ = phase_error_split(entry.state, outcome_parity(m, n))
         acc += entry.probability * eps
     return p, acc / p

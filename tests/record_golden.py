@@ -76,6 +76,9 @@ def _extra_cases() -> list[tuple[str, list[str], dict]]:
          {"perf": {"beta_sq": [0.04], "detectors": list(DETECTORS)}}),
         # an arm photon-number mean of 102: the oracle's K is about 190
         ("perf-beta_sq-100", ["perf"], {"perf": {"beta_sq": [100]}}),
+        # 2 beta^2 overflows: single-photon P_s is its limit 0.0, not nan
+        ("distill-beta_sq-1e308", ["distill"],
+         {"distill": {"beta_sq": [1e308], "F_grid": [0.9]}}),
         ("repeater-detectors", ["repeater"],
          {"repeater": {"L_km": [300], "detectors": list(DETECTORS)}}),
         ("montecarlo-overrides", ["montecarlo", "--seed", "7", "--trials", "400"],

@@ -186,6 +186,14 @@ class TestDistill:
         assert all(row["P_s"] == 0.0 and row["F_prime"] is None
                    for row in json.loads(text))
 
+    def test_overflowing_beta_sq_gives_zero_success(self, tmp_path):
+        # 2 beta^2 overflows to inf; single-photon p is still its limit 0
+        cfg = {"distill": {"beta_sq": [1e308], "F_grid": [0.9]}}
+        code, text = invoke(tmp_path, "distill", cfg)
+        assert code == 0
+        assert parse_csv(text)[1] == [{"F": "0.9", "beta_sq": "1e+308",
+                                       "P_s": "0.0", "F_prime": ""}]
+
     @pytest.mark.parametrize("block", [{"beta_sq": 5}, {"beta_sq": [None]},
                                        {"F_grid": []}, {"F_grid": ["0.9"]},
                                        {"F_grid": [True]}])
@@ -633,7 +641,8 @@ EDGE = [None, True, False, "x", {}, 0, -1, 0.5, 1e-300, math.nan, 1e308]
 
 def assert_exit_code(tmp_path, capsys, command, config):
     """Exit 0, 2 or 3 with at most one stderr line and strict JSON output,
-    or one of the pinned tracebacks."""
+    or one of the pinned tracebacks. JSON writes NaN as null, so the CSV
+    output, which optics does not have, must also be free of nan cells."""
     capsys.readouterr()
     try:
         # the CLI prints each warning as two more stderr lines
@@ -652,6 +661,11 @@ def assert_exit_code(tmp_path, capsys, command, config):
             raise ValueError(f"non-standard JSON constant {name}")
 
         json.loads(text, parse_constant=no_constants)
+        if command != "optics":
+            csv_code, csv_text = invoke(tmp_path, command, config)
+            nan = [(col, row) for row in parse_csv(csv_text)[1]
+                   for col, cell in row.items() if cell == "nan"]
+            assert csv_code == code and not nan, (config, nan)
 
 
 def edge_config(case: str, detector: str, values: dict) -> dict:
@@ -667,9 +681,10 @@ def edge_config(case: str, detector: str, values: dict) -> dict:
     for block in blocks for field in FIELDS[block]])
 def test_each_field_edge_value_ends_in_an_exit_code(tmp_path, capsys, case,
                                                     block, field):
-    for i, value in enumerate(EDGE + [[v] for v in EDGE]):
-        config = edge_config(case, DETECTORS[i % 3], {(block, field): value})
-        assert_exit_code(tmp_path, capsys, EDGE_CASES[case][0], config)
+    for value in EDGE + [[v] for v in EDGE]:
+        for detector in DETECTORS:
+            config = edge_config(case, detector, {(block, field): value})
+            assert_exit_code(tmp_path, capsys, EDGE_CASES[case][0], config)
 
 
 @st.composite

@@ -213,6 +213,15 @@ class TestSuccessProbability:
         assert p.tolist() == [float(success_probability(kind, eta, b2))
                               for b2 in b2s]
 
+    @pytest.mark.parametrize("eta", [1.0, 0.95])
+    def test_overflowing_x_takes_the_limit(self, eta):
+        # 2 beta^2 overflows to inf, and x e^{-x} would be inf * 0 = NaN
+        for b2 in (1e308, np.array([0.04, 1e308])):
+            for kind in ALL_KINDS:
+                p = success_probability(kind, eta, b2)
+                limit = 0.0 if kind is DetectorKind.SINGLE_PHOTON else 1.0
+                assert np.atleast_1d(p)[-1] == limit, (kind, b2)
+
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(ALL_KINDS), eta=st.floats(0.01, 1.0),
            b2=st.floats(math.log(1e-9), math.log(10.0)).map(math.exp))

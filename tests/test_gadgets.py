@@ -10,7 +10,7 @@ from rnpm import gadgets
 from rnpm.gadgets import (BELL_VECTORS, KET0, KET_PLUS, PHI_PLUS,
                           SWAP_CORRECTION, bell_label, bell_measurement,
                           cluster_extend, cluster_state, cluster_stabilizers,
-                          fidelity_to, kron, num_qubits, op_on,
+                          fidelity_to, num_qubits, op_on,
                           parity_check, parity_projectors, phase_flip_channel,
                           project, ptrace_remove, rnpm_channel,
                           stabilizer_expectations)
@@ -23,6 +23,9 @@ def two_pairs():
 
 
 class TestPrimitives:
+    def test_op_on_one_qubit_is_a_fresh_array(self):
+        assert not np.shares_memory(op_on(gadgets.X, 0, 1), gadgets.X)
+
     def test_parity_projectors_complete(self):
         Pe, Po = parity_projectors(0, 1, 2)
         assert np.allclose(Pe + Po, np.eye(4))
@@ -321,12 +324,6 @@ class TestDenseReferences:
             assert_outcomes_close(parity_check(rho, pair, eps),
                                   unnormalized_parity_check(rho, pair, eps))
 
-    def test_kron_equals_numpy(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-        b = rng.normal(size=(4, 2))
-        assert np.array_equal(kron(a, b), np.kron(np.kron([[1.0 + 0j]], a), b))
-
 
 def dense_cluster_state(n):
     """CZ chain on |+>^n, each CZ a dense 2^n x 2^n diagonal matrix."""
@@ -378,9 +375,6 @@ class TestCluster:
 
 
 class TestHelpers:
-    def test_kron_identity(self):
-        assert np.allclose(kron(gadgets.I2, gadgets.I2), np.eye(4))
-
     def test_bell_vectors_orthonormal(self):
         vs = list(BELL_VECTORS.values())
         G = np.array([[np.vdot(a, b) for b in vs] for a in vs])

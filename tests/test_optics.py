@@ -1,5 +1,6 @@
 """Coherent-branch protocol engine against the truncated-Fock oracle."""
 
+import cmath
 import math
 import warnings
 
@@ -68,6 +69,20 @@ class TestPovmOverlap:
         g, gp = 0.4 + 0.2j, 0.1 - 0.3j
         s = povm_overlap(det, 0, g, gp) + povm_overlap(det, 1, g, gp)
         assert s == pytest.approx(coherent_overlap(g, gp), abs=1e-14)
+
+    @pytest.mark.parametrize("g, gp", [(0.4 + 0.2j, 0.1 - 0.3j),
+                                       (1.3 - 0.7j, 0.9 + 1.1j)])
+    def test_resolved_outcome_closed_forms(self, g, gp):
+        """No click of a threshold detector, <g|g'> e^{-eta g* g'}, and one
+        photon at a single-photon detector, <g|g'> eta g* g' e^{-eta g* g'}."""
+        eta, x = 0.7, g.conjugate() * gp
+        ov = cmath.exp(-0.5 * abs(g) ** 2 - 0.5 * abs(gp) ** 2 + x)
+        none = povm_overlap(DetectorModel(DetectorKind.THRESHOLD, eta), 0, g, gp)
+        one = povm_overlap(DetectorModel(DetectorKind.SINGLE_PHOTON, eta), 1,
+                           g, gp)
+        assert none == pytest.approx(ov * cmath.exp(-eta * x), rel=1e-14)
+        assert one == pytest.approx(ov * eta * x * cmath.exp(-eta * x),
+                                    rel=1e-14)
 
     def test_invalid_outcome(self):
         det = DetectorModel(DetectorKind.THRESHOLD, 0.7)
@@ -229,12 +244,6 @@ class TestPhaseErrorSplit:
         zb = np.diag([1.0, -1.0, 1.0, -1.0])
         eps, _ = phase_error_split(zb @ psi @ zb, "odd")
         assert eps == pytest.approx(1.0, abs=1e-14)
-
-    def test_no_support_raises(self):
-        phi = np.outer(PHI_PLUS, PHI_PLUS.conj())
-        with pytest.raises(ValueError):
-            phase_error_split(phi, "even",
-                              initial=np.array([0, 1, 0, 0], dtype=complex))
 
     def test_residual_small_for_protocol_output(self):
         ens = run_protocol(config(DetectorKind.THRESHOLD, beta=0.2))

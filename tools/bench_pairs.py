@@ -11,8 +11,10 @@ imports that side's ``src/``. Pair i runs both sides on the i-th seed (the
 seeds repeat if there are fewer than pairs), and the side that runs first
 alternates from pair to pair. The last line of each run's stdout is its
 result. The output file holds the environment and, per workload and
-end-to-end metric of ``BENCHMARK.json``, both sides' medians and
-interquartile ranges, the pairs the change won and the failed ops.
+end-to-end metric of ``BENCHMARK.json``, both sides' runs, medians and
+interquartile ranges, the pairs the change won, a verdict against the
+metric's ``bound`` and the failed ops. Its top-level ``flagged`` list names
+every workload and metric whose verdict is ``worse`` or ``unresolved``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -67,6 +70,40 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: list[float], change: list[float], won: int,
+            bound: float, sign: float) -> str:
+    """The change's runs against the parent's, of which it won ``won``
+    pairs; ``sign`` is 1 where lower is better and -1 where higher is.
+
+    - worse: the change's median is worse than the parent's by more than
+      ``bound``, relative to the parent's;
+    - unresolved: the larger of the two sides' IQR / median exceeds
+      ``bound``, unless every change run beats every parent run;
+    - better: the change won at least 9/10 of the pairs, and the medians
+      differ by more than the parent's IQR;
+    - no_worse: otherwise.
+    """
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    if sign * (cm - pm) > bound * abs(pm):
+        return "worse"
+    spread = max((q3 - q1) / abs(m) if m else math.inf
+                 for q1, m, q3 in ((p1, pm, p3), (c1, cm, c3)))
+    if spread > bound and max(sign * c for c in change) >= min(
+            sign * p for p in parent):
+        return "unresolved"
+    if won >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1:
+        return "better"
+    return "no_worse"
+
+
+def flagged(workloads: dict) -> list[dict]:
+    """Every (workload, metric) whose verdict is worse or unresolved."""
+    return [{"workload": w, "metric": name, "verdict": row["verdict"]}
+            for w, summary in workloads.items()
+            for name, row in summary["metrics"].items()
+            if row["verdict"] in ("worse", "unresolved")]
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """One workload's summary from its runs, parent and change alternating.
 
@@ -92,12 +129,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         row = {"unit": m["unit"], "better": m["better"]}
         for s in SIDES:
             q1, median, q3 = quartiles(values[s])
-            row[s] = {"median": median, "iqr": q3 - q1}
+            row[s] = {"median": median, "iqr": q3 - q1, "runs": values[s]}
         base = row["parent"]["median"]
         row["change_over_parent"] = (row["change"]["median"] / base
                                      if base else None)
         row["pairs_won"] = sum(sign * (c - p) < 0 for p, c in
                                zip(values["parent"], values["change"]))
+        row["verdict"] = verdict(values["parent"], values["change"],
+                                 row["pairs_won"], m["bound"], sign)
         out["metrics"][name] = row
     return out
 
@@ -140,6 +179,7 @@ def main(argv: list[str] | None = None) -> int:
                       + ", ".join(f"{s} {runs[-1][s].get('error', 'ok')}"
                                   for s in SIDES), file=sys.stderr)
             report["workloads"][workload] = summarize(runs, metrics)
+    report["flagged"] = flagged(report["workloads"])
     summaries = report["workloads"].values()
     report["failed"] = any(sum(w["failed_ops"].values())
                            + sum(w["failed_runs"].values()) for w in summaries)
